@@ -81,6 +81,16 @@ def _parse_layer(text: str) -> LayerSpec:
     return LayerSpec(t_years, LayerKind(kind_text), path)
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_level(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -121,8 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--idw-max-neighbors", type=int, default=16)
     p_int.add_argument("--idw-min-neighbors", type=int, default=1)
     p_int.add_argument("--idw-mode", default="fill", choices=["fill", "smooth"])
-    p_int.add_argument("--workers", type=int, default=1, help="threads; 0 = one per CPU")
-    p_int.add_argument("--decimals", type=int, default=6, help="output decimal places")
+    p_int.add_argument(
+        "--workers", type=_non_negative_int, default=1, help="threads; 0 = one per CPU"
+    )
+    p_int.add_argument(
+        "--decimals", type=_non_negative_int, default=6, help="output decimal places"
+    )
 
     p_cmp = sub.add_parser("compare", help="per-zone statistics of a probability map")
     p_cmp.add_argument("--prob", required=True, help="probability raster")

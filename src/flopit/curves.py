@@ -211,28 +211,15 @@ def _evaluate_knot_batch(
     p: np.ndarray,
     z: np.ndarray,
     method: InterpolationMethod,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Evaluate many single-celled curves that share per-knot probabilities.
 
     ``x`` is (n, m): per-cell knot elevations, strictly increasing down the
     columns. ``log_p`` and ``p`` are (n,): the shared probabilities per knot
-    row. Returns (ln_p values, exact probability overrides with NaN where
-    no override applies, clamp flags). Overrides carry clamped endpoints
-    and exact knot hits so that those probabilities are bit-exact; interior
-    values are delivered in ln space so the caller can exponentiate once.
+    row. Every query must lie in [x[0], x[-1]]; clamping is the caller's
+    job. Returns the probability at each query, with exact knot hits set
+    to the knot's probability bit for bit.
     """
-    n, m = x.shape
-    cols = np.arange(m)
-    flags = np.zeros(m, dtype=np.uint8)
-    override = np.full(m, np.nan)
-
-    clamp_high = z < x[0]
-    clamp_low = z > x[-1]
-    flags[clamp_high] = Clamped.HIGH.value
-    flags[clamp_low] = Clamped.LOW.value
-    override[clamp_high] = p[0]
-    override[clamp_low] = p[-1]
-
     idx = _interval_index(x, z)
     y_col = log_p[:, None]
     if method is InterpolationMethod.LOG_LINEAR:
@@ -241,13 +228,12 @@ def _evaluate_knot_batch(
         slopes = fc_slopes(x, y_col)
         y_val = _hermite_eval(x, y_col, slopes, idx, z)
     # keep interior results inside their interval (guards 1-ulp excursions)
-    y_val = np.clip(y_val, log_p[idx + 1], log_p[idx])
+    prob = np.exp(np.clip(y_val, log_p[idx + 1], log_p[idx]))
 
-    at_knot = x[idx, cols] == z
-    override[at_knot] = p[idx[at_knot]]
-    at_top = z == x[-1]
-    override[at_top] = p[-1]
-    return y_val, override, flags
+    at_knot = x[idx, np.arange(z.shape[0])] == z
+    prob[at_knot] = p[idx[at_knot]]
+    prob[z == x[-1]] = p[-1]
+    return prob
 
 
 def eval_curve(
@@ -258,13 +244,13 @@ def eval_curve(
     Inside the knot range this interpolates; outside it clamps to the
     nearest endpoint probability and reports which side was clamped.
     """
-    x = curve.elevations[:, None]
-    zq = np.array([float(z)])
-    y_val, override, flags = _evaluate_knot_batch(
-        x, curve.log_probabilities, curve.probabilities, zq, method
+    x = curve.elevations
+    if z < x[0]:
+        return ClampedResult(float(curve.probabilities[0]), Clamped.HIGH)
+    if z > x[-1]:
+        return ClampedResult(float(curve.probabilities[-1]), Clamped.LOW)
+    prob = _evaluate_knot_batch(
+        x[:, None], curve.log_probabilities, curve.probabilities,
+        np.array([float(z)]), method,
     )
-    if np.isnan(override[0]):
-        prob = float(np.exp(y_val[0]))
-    else:
-        prob = float(override[0])
-    return ClampedResult(prob, Clamped(int(flags[0])))
+    return ClampedResult(float(prob[0]), Clamped.NO)

@@ -47,7 +47,7 @@ class ReturnPeriodLayer:
 
 @dataclass(frozen=True)
 class HazardStack:
-    """Validated bundle: DEM plus >= 2 WSE layers sorted by ascending T."""
+    """Validated bundle: DEM plus 2 to 32 WSE layers sorted by ascending T."""
 
     dem: Raster
     layers: tuple[ReturnPeriodLayer, ...] = field(default=())
@@ -55,6 +55,10 @@ class HazardStack:
     def __post_init__(self):
         if len(self.layers) < 2:
             raise StackError("at least two return periods required")
+        if len(self.layers) > 32:  # evaluation keeps retained layers in a uint32
+            raise StackError(
+                f"at most 32 return periods are supported, got {len(self.layers)}"
+            )
         periods = [lyr.return_period_years for lyr in self.layers]
         if any(b <= a for a, b in zip(periods, periods[1:])):
             raise StackError(f"layers must be strictly increasing in T, got {periods}")
@@ -99,11 +103,10 @@ def build_wse(dem: Raster, layer: ReturnPeriodLayer) -> Raster:
 def validate_stack(dem: Raster, layers: list[ReturnPeriodLayer]) -> HazardStack:
     """Sort, validate and convert layers into a HazardStack.
 
-    Raises StackError for fewer than two layers or duplicate return periods,
+    Raises StackError for duplicate return periods and, through
+    :class:`HazardStack`, for fewer than two or more than 32 layers;
     AlignmentError naming the layer whose grid does not match the DEM.
     """
-    if len(layers) < 2:
-        raise StackError("at least two return periods required")
     seen: set[float] = set()
     for lyr in layers:
         t = lyr.return_period_years

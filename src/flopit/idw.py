@@ -94,13 +94,15 @@ def _accumulate(
     rows: np.ndarray,
     cols: np.ndarray,
     params: IdwParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """IDW accumulation over the nearest data cells of each candidate.
+) -> tuple[np.ndarray, np.ndarray]:
+    """IDW estimate over the nearest data cells of each candidate.
 
-    Returns (weighted sum, weight sum, neighbour count, neighbour min,
-    neighbour max) per candidate. Offsets are visited in ascending distance
-    order, so once a candidate has max_neighbors contributions no nearer
-    neighbour can exist and it drops out of the scan.
+    Returns (estimate, neighbour count) per candidate; the estimate is the
+    weighted mean clipped into the neighbours' value range, and is only
+    meaningful where the count is positive. Offsets are visited in
+    ascending distance order, so once a candidate has max_neighbors
+    contributions no nearer neighbour can exist and it drops out of the
+    scan.
     """
     nrows, ncols = values.shape
     m = rows.shape[0]
@@ -109,8 +111,6 @@ def _accumulate(
     cnt = np.zeros(m, dtype=np.int64)
     vmin = np.full(m, np.inf)
     vmax = np.full(m, -np.inf)
-    if m == 0:
-        return num, den, cnt, vmin, vmax
 
     dr_all, dc_all, d2_all = _offsets(params.radius_cells)
     weights = d2_all.astype(np.float64) ** (-0.5 * params.power)
@@ -135,7 +135,28 @@ def _accumulate(
             active = active[cnt[active] < max_nb]
             if active.size == 0:
                 break
-    return num, den, cnt, vmin, vmax
+    with np.errstate(invalid="ignore"):  # 0/0 where no neighbour was found
+        return np.clip(num / den, vmin, vmax), cnt
+
+
+def _idw(wse: Raster, params: IdwParams, smooth: bool) -> Raster:
+    """One IDW scan over the nodata cells to fill and, when smoothing,
+    every data cell as well; all reads come from ``wse``."""
+    mask = wse.data_mask
+    cand = ~mask & (_box_counts(mask, params.radius_cells) >= params.min_neighbors)
+    if smooth:
+        cand |= mask
+    out = wse.values.copy()
+    if cand.any():
+        rows, cols = np.nonzero(cand)
+        est, cnt = _accumulate(wse.values, mask, rows, cols, params)
+        is_data = mask[rows, cols]
+        fill = ~is_data & (cnt >= params.min_neighbors)
+        out[rows[fill], cols[fill]] = est[fill]
+        blend = is_data & (cnt > 0)
+        r, c = rows[blend], cols[blend]
+        out[r, c] = 0.5 * wse.values[r, c] + 0.5 * est[blend]
+    return Raster(wse.header, locked(out))
 
 
 def idw_fill(wse: Raster, params: IdwParams | None = None) -> Raster:
@@ -147,19 +168,7 @@ def idw_fill(wse: Raster, params: IdwParams | None = None) -> Raster:
     convex combination). Data cells are never modified; nodata cells with
     no qualifying neighbours stay nodata.
     """
-    params = params or IdwParams()
-    mask = wse.data_mask
-    nodata = wse.nodata
-    counts = _box_counts(mask, params.radius_cells)
-    cand = ~mask & (counts >= params.min_neighbors)
-    out = wse.values.copy()
-    if cand.any():
-        rows, cols = np.nonzero(cand)
-        num, den, cnt, vmin, vmax = _accumulate(wse.values, mask, rows, cols, params)
-        good = cnt >= params.min_neighbors
-        filled = np.clip(num[good] / den[good], vmin[good], vmax[good])
-        out[rows[good], cols[good]] = filled
-    return Raster(wse.header, locked(out))
+    return _idw(wse, params or IdwParams(), smooth=False)
 
 
 def idw_smooth(wse: Raster, params: IdwParams | None = None) -> Raster:
@@ -169,18 +178,7 @@ def idw_smooth(wse: Raster, params: IdwParams | None = None) -> Raster:
     exactly as in :func:`idw_fill` but excluding the cell itself. A data
     cell with no neighbours in range is left unchanged.
     """
-    params = params or IdwParams()
-    mask = wse.data_mask
-    filled = idw_fill(wse, params)
-    out = filled.values.copy()
-    if mask.any():
-        rows, cols = np.nonzero(mask)
-        num, den, cnt, vmin, vmax = _accumulate(wse.values, mask, rows, cols, params)
-        good = cnt > 0
-        neighborhood = np.clip(num[good] / den[good], vmin[good], vmax[good])
-        original = wse.values[rows[good], cols[good]]
-        out[rows[good], cols[good]] = 0.5 * original + 0.5 * neighborhood
-    return Raster(wse.header, locked(out))
+    return _idw(wse, params or IdwParams(), smooth=True)
 
 
 def fill_stack(stack: HazardStack, params: IdwParams | None = None) -> HazardStack:

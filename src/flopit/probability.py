@@ -27,16 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import InterpolationMethod, _evaluate_knot_batch
+from .curves import Clamped, InterpolationMethod, _evaluate_knot_batch
 from .hazard import HazardStack
 from .idw import IdwParams, fill_stack
 from .raster import DEFAULT_NODATA, GridHeader, Raster, locked
 
 logger = logging.getLogger(__name__)
 
-CLAMP_INTERIOR = 0
-CLAMP_HIGH = 1
-CLAMP_LOW = 2
+CLAMP_INTERIOR = Clamped.NO.value
+CLAMP_HIGH = Clamped.HIGH.value
+CLAMP_LOW = Clamped.LOW.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,11 +55,7 @@ class ProbabilityMap:
     def clamp_counts(self) -> tuple[int, int, int]:
         """(interior, clamped-high, clamped-low) cell counts."""
         flags = self.clamp_flags.values[self.clamp_flags.data_mask]
-        return (
-            int(np.count_nonzero(flags == CLAMP_INTERIOR)),
-            int(np.count_nonzero(flags == CLAMP_HIGH)),
-            int(np.count_nonzero(flags == CLAMP_LOW)),
-        )
+        return tuple(int(np.count_nonzero(flags == c.value)) for c in Clamped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +75,9 @@ def _output_header(hdr: GridHeader) -> GridHeader:
 
 
 class _Evaluator:
-    """Shared state for banded evaluation of one probability map."""
+    """Shared state and output grids for banded evaluation of one map."""
 
-    def __init__(self, stack: HazardStack, method: InterpolationMethod):
-        if len(stack.layers) > 32:
-            raise ValueError("more than 32 layers is not supported")
+    def __init__(self, stack: HazardStack, method: InterpolationMethod, nodata: float):
         self.dem_vals = stack.dem.values
         self.dem_mask = stack.dem.data_mask
         self.wse_vals = [lyr.grid.values for lyr in stack.layers]
@@ -92,10 +86,8 @@ class _Evaluator:
         self.log_p = np.log(self.p_arr)
         self.method = method
         shape = stack.dem.header.shape
-        self.y = np.full(shape, np.nan)
-        self.override = np.full(shape, np.nan)
-        self.flags = np.zeros(shape, dtype=np.uint8)
-        self.valid = np.zeros(shape, dtype=bool)
+        self.prob = np.full(shape, nodata)
+        self.flags = np.full(shape, nodata)
 
     def run_band(self, rows: slice) -> np.ndarray:
         """Evaluate one horizontal band; returns per-layer drop counts.
@@ -122,7 +114,6 @@ class _Evaluator:
 
         counts = retained.sum(axis=0)
         valid = self.dem_mask[rows] & self.wse_masks[-1][rows] & (counts >= 2)
-        self.valid[rows] = valid
         if not valid.any():
             return drops
 
@@ -132,26 +123,28 @@ class _Evaluator:
         for k in range(k_layers):
             pattern |= retained[k].reshape(-1)[flat].astype(np.uint32) << k
 
-        n_band = shape[0] * shape[1]
-        y_band = np.full(n_band, np.nan)
-        override_band = np.full(n_band, np.nan)
-        flags_band = np.zeros(n_band, dtype=np.uint8)
+        # views of this band's rows in the output grids
+        prob = self.prob[rows].reshape(-1)
+        flags = self.flags[rows].reshape(-1)
+        wse = [v[rows].reshape(-1) for v in self.wse_vals]
         for pat in np.unique(pattern):
             sel = pattern == pat
             cells = flat[sel]
+            z_pat = z[sel]
             bits = [k for k in range(k_layers) if pat >> k & 1]
-            x = np.stack(
-                [self.wse_vals[k][rows].reshape(-1)[cells] for k in bits]
+            high = z_pat < wse[bits[0]][cells]
+            low = z_pat > wse[bits[-1]][cells]
+            prob[cells[high]] = self.p_arr[bits[0]]
+            flags[cells[high]] = CLAMP_HIGH
+            prob[cells[low]] = self.p_arr[bits[-1]]
+            flags[cells[low]] = CLAMP_LOW
+            inner = ~(high | low)
+            cells = cells[inner]
+            x = np.stack([wse[k][cells] for k in bits])
+            prob[cells] = _evaluate_knot_batch(
+                x, self.log_p[bits], self.p_arr[bits], z_pat[inner], self.method
             )
-            y_val, override, flags = _evaluate_knot_batch(
-                x, self.log_p[bits], self.p_arr[bits], z[sel], self.method
-            )
-            y_band[cells] = y_val
-            override_band[cells] = override
-            flags_band[cells] = flags
-        self.y[rows] = y_band.reshape(shape)
-        self.override[rows] = override_band.reshape(shape)
-        self.flags[rows] = flags_band.reshape(shape)
+            flags[cells] = CLAMP_INTERIOR
         return drops
 
 
@@ -170,12 +163,13 @@ def interpolate_map(
     """
     if params is not None:
         stack = fill_stack(stack, params)
-    hdr = stack.dem.header
+    out_hdr = _output_header(stack.dem.header)
+    nodata = out_hdr.nodata_value
 
-    ev = _Evaluator(stack, method)
+    ev = _Evaluator(stack, method, nodata)
     if workers == 0:
         workers = os.cpu_count() or 1
-    bands = _row_bands(hdr.nrows, workers)
+    bands = _row_bands(out_hdr.nrows, workers)
     if len(bands) == 1:
         drop_lists = [ev.run_band(bands[0])]
     else:
@@ -188,22 +182,12 @@ def interpolate_map(
                 stack.periods[k], int(n_drop),
             )
 
-    # one global exponentiation keeps results identical for any banding
-    prob = np.exp(ev.y)
-    take = ~np.isnan(ev.override)
-    prob[take] = ev.override[take]
-
-    out_hdr = _output_header(hdr)
-    nodata = out_hdr.nodata_value
-    valid = ev.valid
-    prob_vals = np.where(valid, prob, nodata)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rp_vals = np.where(valid, 1.0 / prob, nodata)
-    flag_vals = np.where(valid, ev.flags.astype(np.float64), nodata)
+    rp = np.full(out_hdr.shape, nodata)
+    np.divide(1.0, ev.prob, out=rp, where=ev.prob != nodata)
     return ProbabilityMap(
-        probability=Raster(out_hdr, locked(prob_vals)),
-        return_period=Raster(out_hdr, locked(rp_vals)),
-        clamp_flags=Raster(out_hdr, locked(flag_vals)),
+        probability=Raster(out_hdr, locked(ev.prob)),
+        return_period=Raster(out_hdr, locked(rp)),
+        clamp_flags=Raster(out_hdr, locked(ev.flags)),
     )
 
 

@@ -88,10 +88,6 @@ class Raster:
         """Boolean array, True where the cell holds data."""
         return self.values != self.header.nodata_value
 
-    def with_values(self, values: np.ndarray) -> "Raster":
-        """New raster on the same grid with different values."""
-        return Raster(self.header, values)
-
 
 def locked(arr: np.ndarray) -> np.ndarray:
     """Mark an array read-only so Raster can adopt it without copying."""
@@ -127,8 +123,14 @@ def read_ascii_grid(path: str | Path) -> Raster:
     error, they are never coerced to nodata.
     """
     path = Path(path)
-    with open(path, "r", encoding="ascii") as f:
-        text = f.read()
+    with open(path, "rb") as f:
+        try:
+            text = f.read().decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise GridParseError(
+                f"{path.name}: non-ASCII byte {exc.object[exc.start]:#04x} at "
+                f"byte offset {exc.start}; ASCII grids must be plain ASCII"
+            ) from None
 
     lines = text.splitlines()
     header: dict[str, float] = {}

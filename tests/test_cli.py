@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import flopit.cli
 from flopit import read_ascii_grid, write_ascii_grid
 from flopit.cli import main
 
@@ -153,6 +154,39 @@ def test_bad_layer_spec_is_usage_error(fixture_dir, tmp_path, capsys):
         "--out", str(tmp_path / "x"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("option", ["--decimals", "--workers"])
+def test_negative_count_is_usage_error(fixture_dir, tmp_path, capsys, option):
+    code = main(interpolate_args(fixture_dir, tmp_path / "neg", option, "-1"))
+    assert code == 1
+    assert f"{option}: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "neg_prob.asc").exists()
+
+
+def test_non_ascii_grid_is_data_error(fixture_dir, tmp_path, capsys):
+    dem = tmp_path / "bom_dem.asc"
+    dem.write_bytes(b"\xef\xbb\xbf" + (fixture_dir / "dem.asc").read_bytes())
+    args = interpolate_args(fixture_dir, tmp_path / "x")
+    args[args.index("--dem") + 1] = str(dem)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "bom_dem.asc" in err and "non-ASCII" in err
+
+
+def test_more_than_32_layers_is_data_error(tmp_path, capsys, monkeypatch):
+    def no_idw(*args, **kwargs):
+        raise AssertionError("IDW ran before the stack was validated")
+
+    monkeypatch.setattr(flopit.cli, "fill_stack", no_idw)
+    write_ascii_grid(make_raster(np.zeros((3, 3))), tmp_path / "dem.asc")
+    args = ["interpolate", "--dem", str(tmp_path / "dem.asc"), "--out", str(tmp_path / "x")]
+    for t in range(2, 35):
+        path = tmp_path / f"wse_T{t}.asc"
+        write_ascii_grid(make_raster(np.full((3, 3), float(t))), path)
+        args += ["--layer", f"{t}:wse:{path}"]
+    assert main(args) == 2
+    assert "at most 32 return periods" in capsys.readouterr().err
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

@@ -195,7 +195,8 @@ def test_monotonicity_of_evaluations(rng):
 
 def test_monotonicity_full_scale(rng):
     # 1000 random curves x 100 sorted queries, both methods, via the same
-    # kernel eval_curve wraps (batched so the property holds at scale)
+    # kernel eval_curve wraps (batched so the property holds at scale);
+    # queries outside the knots take the clamped endpoint probabilities
     from flopit.curves import _evaluate_knot_batch
 
     for _ in range(1000):
@@ -204,14 +205,18 @@ def test_monotonicity_full_scale(rng):
         probs = np.sort(rng.uniform(1e-5, 0.9, n))[::-1]
         curve = make_curve(list(zip(elev, probs)))
         z = np.sort(rng.uniform(elev[0] - 1, elev[-1] + 1, 100))
-        x = np.broadcast_to(curve.elevations[:, None], (n, z.size))
+        below = z < curve.elevations[0]
+        above = z > curve.elevations[-1]
+        inner = z[~below & ~above]
+        x = np.broadcast_to(curve.elevations[:, None], (n, inner.size))
         for method in (SPLINE, LOGLIN):
-            y_val, override, _ = _evaluate_knot_batch(
-                x, curve.log_probabilities, curve.probabilities, z, method
-            )
-            p = np.exp(y_val)
-            take = ~np.isnan(override)
-            p[take] = override[take]
+            p = np.concatenate([
+                np.full(np.count_nonzero(below), curve.probabilities[0]),
+                _evaluate_knot_batch(
+                    x, curve.log_probabilities, curve.probabilities, inner, method
+                ),
+                np.full(np.count_nonzero(above), curve.probabilities[-1]),
+            ])
             assert (np.diff(p) <= 0).all()
 
 

@@ -82,6 +82,15 @@ def test_validate_stack_needs_two_layers():
         validate_stack(dem, [layer(100, LayerKind.WSE, [[7.0]])])
 
 
+def test_stack_caps_layers_at_32():
+    dem = make_raster([[1.0]])
+    layers = [layer(t, LayerKind.WSE, [[1.0 + t]]) for t in range(2, 34)]
+    assert len(validate_stack(dem, layers).layers) == 32
+    layers.append(layer(34, LayerKind.WSE, [[35.0]]))
+    with pytest.raises(StackError, match="at most 32"):
+        validate_stack(dem, layers)
+
+
 def test_validate_stack_duplicate_period():
     dem = make_raster([[1.0]])
     with pytest.raises(StackError, match="duplicate"):

@@ -1,5 +1,8 @@
 """Probability map evaluation, coercion rules and zone derivation."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -187,6 +190,27 @@ def test_worker_count_does_not_change_bytes():
         assert ref.probability.values.tobytes() == other.probability.values.tobytes()
         assert ref.clamp_flags.values.tobytes() == other.clamp_flags.values.tobytes()
         assert ref.return_period.values.tobytes() == other.return_period.values.tobytes()
+
+
+def test_banded_writes_under_thread_switching():
+    # more bands than cores, switching threads as often as the interpreter
+    # allows: every band writes its rows of the shared output grids
+    workers = (os.cpu_count() or 1) + 2
+    spec = FixtureSpec(
+        shape=FixtureShape.NOISY_RAMP, ncols=23, nrows=3 * workers, slope=1.0
+    )
+    dem, layers = generate_fixture(spec)
+    stack = fill_stack(validate_stack(dem, layers), IdwParams())
+    ref = interpolate_map(stack, None, SPLINE, workers=1)
+    assert min(ref.clamp_counts()) > 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        other = interpolate_map(stack, None, SPLINE, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert ref.probability.values.tobytes() == other.probability.values.tobytes()
+    assert ref.clamp_flags.values.tobytes() == other.clamp_flags.values.tobytes()
 
 
 def test_repeated_runs_bit_identical():

@@ -194,6 +194,24 @@ def test_bad_body_token(tmp_path):
         read_ascii_grid(f)
 
 
+@pytest.mark.parametrize(
+    "prefix, body, offset",
+    [
+        (b"\xef\xbb\xbf", b"1 2", 0),  # UTF-8 byte order mark
+        (b"", "1 \u00b2".encode("utf-8"), None),
+    ],
+    ids=["bom", "superscript-two"],
+)
+def test_non_ascii_byte_rejected(tmp_path, prefix, body, offset):
+    head = b"NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n"
+    f = tmp_path / "bom.asc"
+    f.write_bytes(prefix + head + body + b"\n")
+    if offset is None:
+        offset = len(head) + 2
+    with pytest.raises(GridParseError, match=f"bom.asc: non-ASCII byte .* offset {offset}"):
+        read_ascii_grid(f)
+
+
 def test_missing_file():
     with pytest.raises(OSError):
         read_ascii_grid("/nonexistent/file.asc")
