@@ -11,7 +11,6 @@ import argparse
 import logging
 import sys
 import time
-from dataclasses import dataclass
 
 from .curves import InterpolationMethod
 from .errors import FlopitError
@@ -35,26 +34,6 @@ _METHODS = {
 }
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    return_period_years: float
-    kind: LayerKind
-    path: str
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one interpolation run needs."""
-
-    dem_path: str
-    layers: tuple[LayerSpec, ...]
-    method: InterpolationMethod
-    idw: IdwParams
-    out_prefix: str
-    workers: int
-    decimals: int
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; we use 1
         self.print_usage(sys.stderr)
@@ -62,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_layer(text: str) -> LayerSpec:
+def _parse_layer(text: str) -> tuple[float, LayerKind, str]:
     parts = text.split(":", 2)
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -78,7 +57,7 @@ def _parse_layer(text: str) -> LayerSpec:
         raise argparse.ArgumentTypeError(
             f"layer kind must be 'depth' or 'wse', got {kind_text!r}"
         )
-    return LayerSpec(t_years, LayerKind(kind_text), path)
+    return t_years, LayerKind(kind_text), path
 
 
 def _non_negative_int(text: str) -> int:
@@ -163,22 +142,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_interpolate(config: RunConfig) -> int:
-    dem = read_ascii_grid(config.dem_path)
+def cmd_interpolate(args: argparse.Namespace) -> int:
+    try:
+        idw = IdwParams(
+            power=args.idw_power,
+            radius_cells=args.idw_radius,
+            max_neighbors=args.idw_max_neighbors,
+            min_neighbors=args.idw_min_neighbors,
+            mode=IdwMode(args.idw_mode),
+        )
+    except ValueError as exc:
+        raise FlopitError(str(exc)) from None
+    dem = read_ascii_grid(args.dem)
     layers = []
-    for spec in config.layers:
-        grid = read_ascii_grid(spec.path)
+    for t_years, kind, path in args.layer:
+        grid = read_ascii_grid(path)
         if not grids_aligned(dem.header, grid.header):
-            raise FlopitError(f"layer {spec.path} is not aligned with the DEM")
-        layers.append(ReturnPeriodLayer(spec.return_period_years, spec.kind, grid))
+            raise FlopitError(f"layer {path} is not aligned with the DEM")
+        layers.append(ReturnPeriodLayer(t_years, kind, grid))
 
     stack = validate_stack(dem, layers)
     logger.info("stack validated: %d layers, %dx%d cells",
                 len(stack.layers), dem.header.nrows, dem.header.ncols)
-    filled = fill_stack(stack, config.idw)
+    filled = fill_stack(stack, idw)
 
     t0 = time.perf_counter()
-    pm = interpolate_map(filled, None, config.method, workers=config.workers)
+    pm = interpolate_map(filled, None, _METHODS[args.method], workers=args.workers)
     elapsed = time.perf_counter() - t0
     zones = derive_zones(filled)
 
@@ -188,11 +177,11 @@ def cmd_interpolate(config: RunConfig) -> int:
     rate = n_cells / elapsed if elapsed > 0 else float("inf")
     logger.info("interpolated %d cells in %.3f s (%.0f cells/s)", n_cells, elapsed, rate)
 
-    prefix = config.out_prefix
-    write_ascii_grid(pm.probability, f"{prefix}_prob.asc", config.decimals)
-    write_ascii_grid(pm.return_period, f"{prefix}_rp.asc", config.decimals)
+    prefix = args.out
+    write_ascii_grid(pm.probability, f"{prefix}_prob.asc", args.decimals)
+    write_ascii_grid(pm.return_period, f"{prefix}_rp.asc", args.decimals)
     write_ascii_grid(pm.clamp_flags, f"{prefix}_clamp.asc", 0)
-    write_ascii_grid(zones.zones, f"{prefix}_zones.asc", config.decimals)
+    write_ascii_grid(zones.zones, f"{prefix}_zones.asc", args.decimals)
 
     print(f"cells_total {n_cells}")
     print(f"cells_with_probability {n_data}")
@@ -249,26 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         if args.command == "interpolate":
-            try:
-                idw = IdwParams(
-                    power=args.idw_power,
-                    radius_cells=args.idw_radius,
-                    max_neighbors=args.idw_max_neighbors,
-                    min_neighbors=args.idw_min_neighbors,
-                    mode=IdwMode(args.idw_mode),
-                )
-            except ValueError as exc:
-                raise FlopitError(str(exc)) from None
-            config = RunConfig(
-                dem_path=args.dem,
-                layers=tuple(args.layer),
-                method=_METHODS[args.method],
-                idw=idw,
-                out_prefix=args.out,
-                workers=args.workers,
-                decimals=args.decimals,
-            )
-            return cmd_interpolate(config)
+            return cmd_interpolate(args)
         if args.command == "compare":
             return cmd_compare(args.prob, args.zones, args.out)
         if args.command == "synth":

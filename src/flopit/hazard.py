@@ -11,6 +11,7 @@ across all inputs; no conversion is attempted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,9 +35,10 @@ class ReturnPeriodLayer:
     grid: Raster
 
     def __post_init__(self):
-        if not self.return_period_years > 1:
+        if not 1 < self.return_period_years < math.inf:
             raise StackError(
-                f"return period must exceed 1 year, got {self.return_period_years}"
+                f"return period must be finite and exceed 1 year, "
+                f"got {self.return_period_years}"
             )
 
     @property

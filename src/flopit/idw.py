@@ -16,7 +16,7 @@ results are independent of cell visitation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -71,21 +71,11 @@ def _offsets(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _box_counts(mask: np.ndarray, radius: int) -> np.ndarray:
     """Count of True cells in the clipped (2r+1)^2 box around each cell."""
-    nrows, ncols = mask.shape
-    summed = np.zeros((nrows + 1, ncols + 1), dtype=np.int64)
-    summed[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
-    rows = np.arange(nrows)
-    cols = np.arange(ncols)
-    i_lo = np.maximum(rows - radius, 0)
-    i_hi = np.minimum(rows + radius + 1, nrows)
-    j_lo = np.maximum(cols - radius, 0)
-    j_hi = np.minimum(cols + radius + 1, ncols)
-    return (
-        summed[np.ix_(i_hi, j_hi)]
-        - summed[np.ix_(i_lo, j_hi)]
-        - summed[np.ix_(i_hi, j_lo)]
-        + summed[np.ix_(i_lo, j_lo)]
-    )
+    w = 2 * radius + 1
+    padded = np.pad(mask, radius)
+    summed = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64)
+    summed[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
+    return summed[w:, w:] - summed[:-w, w:] - summed[w:, :-w] + summed[:-w, :-w]
 
 
 def _accumulate(
@@ -141,21 +131,29 @@ def _accumulate(
 
 def _idw(wse: Raster, params: IdwParams, smooth: bool) -> Raster:
     """One IDW scan over the nodata cells to fill and, when smoothing,
-    every data cell as well; all reads come from ``wse``."""
+    every data cell as well; all reads come from ``wse``. Returns ``wse``
+    itself when no cell needs an estimate."""
+    # no offset beyond the grid's extent can land in it, so a wider box
+    # changes nothing but the cost of scanning it
+    radius = min(params.radius_cells, max(1, max(wse.header.shape) - 1))
+    params = replace(params, radius_cells=radius)
     mask = wse.data_mask
-    cand = ~mask & (_box_counts(mask, params.radius_cells) >= params.min_neighbors)
+    cand = ~mask
+    if cand.any():
+        cand &= _box_counts(mask, radius) >= params.min_neighbors
     if smooth:
         cand |= mask
+    if not cand.any():
+        return wse
+    rows, cols = np.nonzero(cand)
+    est, cnt = _accumulate(wse.values, mask, rows, cols, params)
+    is_data = mask[rows, cols]
+    fill = ~is_data & (cnt >= params.min_neighbors)
     out = wse.values.copy()
-    if cand.any():
-        rows, cols = np.nonzero(cand)
-        est, cnt = _accumulate(wse.values, mask, rows, cols, params)
-        is_data = mask[rows, cols]
-        fill = ~is_data & (cnt >= params.min_neighbors)
-        out[rows[fill], cols[fill]] = est[fill]
-        blend = is_data & (cnt > 0)
-        r, c = rows[blend], cols[blend]
-        out[r, c] = 0.5 * wse.values[r, c] + 0.5 * est[blend]
+    out[rows[fill], cols[fill]] = est[fill]
+    blend = is_data & (cnt > 0)
+    r, c = rows[blend], cols[blend]
+    out[r, c] = 0.5 * wse.values[r, c] + 0.5 * est[blend]
     return Raster(wse.header, locked(out))
 
 

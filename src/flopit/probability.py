@@ -12,9 +12,10 @@ cell's ground elevation. Coercion rules for cells the curve cannot reach:
   the rarest probability (flag 2);
 * fewer than two usable surfaces: nodata.
 
-The per-cell work is independent, so the grid is processed in row bands
-that may run on any number of worker threads; output bytes never depend on
-the worker count.
+The per-cell work is independent, so the grid is processed in row bands of
+a fixed number of cells, cut from the grid's shape alone. The worker count
+only sets how many bands run at once: neither the output bytes nor the
+peak memory of evaluation depend on it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ logger = logging.getLogger(__name__)
 CLAMP_INTERIOR = Clamped.NO.value
 CLAMP_HIGH = Clamped.HIGH.value
 CLAMP_LOW = Clamped.LOW.value
+
+# cells per evaluation band; bounds the batch the curve kernel sees
+_BAND_CELLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +162,8 @@ def interpolate_map(
 
     When ``params`` is given the layers are IDW-filled/smoothed first; pass
     None for a stack that has already been through :func:`fill_stack`.
-    ``workers`` counts threads (0 = one per CPU); any value produces
+    ``workers`` counts threads (0 = one per CPU); it only sets how many of
+    the fixed-size row bands run at once, so any value produces
     bit-identical output.
     """
     if params is not None:
@@ -167,14 +172,11 @@ def interpolate_map(
     nodata = out_hdr.nodata_value
 
     ev = _Evaluator(stack, method, nodata)
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    bands = _row_bands(out_hdr.nrows, workers)
-    if len(bands) == 1:
-        drop_lists = [ev.run_band(bands[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            drop_lists = list(pool.map(ev.run_band, bands))
+    nrows, ncols = out_hdr.shape
+    step = max(1, _BAND_CELLS // ncols)
+    bands = [slice(r, min(r + step, nrows)) for r in range(0, nrows, step)]
+    with ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1) as pool:
+        drop_lists = list(pool.map(ev.run_band, bands))
     for k, n_drop in enumerate(np.sum(drop_lists, axis=0)):
         if n_drop:
             logger.info(
@@ -189,14 +191,6 @@ def interpolate_map(
         return_period=Raster(out_hdr, locked(rp)),
         clamp_flags=Raster(out_hdr, locked(ev.flags)),
     )
-
-
-def _row_bands(nrows: int, workers: int) -> list[slice]:
-    if workers <= 1 or nrows == 1:
-        return [slice(0, nrows)]
-    n_bands = min(workers, nrows)
-    edges = np.linspace(0, nrows, n_bands + 1).astype(int)
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
 def derive_zones(stack: HazardStack) -> ZoneRaster:

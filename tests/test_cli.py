@@ -189,6 +189,33 @@ def test_more_than_32_layers_is_data_error(tmp_path, capsys, monkeypatch):
     assert "at most 32 return periods" in capsys.readouterr().err
 
 
+@pytest.fixture
+def small_fixture(tmp_path):
+    out = tmp_path / "small"
+    args = ["synth", "--ncols", "6", "--nrows", "5", "--slope", "2.5", "--out", str(out)]
+    assert main(args) == 0
+    return out
+
+
+def test_infinite_return_period_is_data_error(small_fixture, tmp_path, capsys):
+    args = interpolate_args(small_fixture, tmp_path / "x")
+    args[args.index("--layer") + 1] = f"inf:wse:{small_fixture / 'wse_T10.asc'}"
+    assert main(args) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x_prob.asc").exists()
+
+
+def test_huge_idw_radius_equals_grid_wide_radius(small_fixture, tmp_path):
+    # 6x5 grid: no offset beyond 5 cells can land in it
+    for mode in ("fill", "smooth"):
+        for radius in (6, 10**6):
+            extra = ("--idw-mode", mode, "--idw-radius", str(radius))
+            assert main(interpolate_args(small_fixture, tmp_path / f"{mode}{radius}", *extra)) == 0
+        for suffix in ("_prob.asc", "_rp.asc", "_clamp.asc", "_zones.asc"):
+            a = (tmp_path / f"{mode}6{suffix}").read_bytes()
+            assert a == (tmp_path / f"{mode}{10**6}{suffix}").read_bytes()
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     code = main([
         "interpolate",

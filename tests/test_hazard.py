@@ -129,6 +129,13 @@ def test_return_period_must_exceed_one_year():
         layer(1.0, LayerKind.WSE, [[5.0]])
 
 
+@pytest.mark.parametrize("t", [float("inf"), float("nan")])
+def test_return_period_must_be_finite(t):
+    # p = 1/T = 0 has no logarithm, so the curve would be all NaN
+    with pytest.raises(StackError, match="finite"):
+        layer(t, LayerKind.WSE, [[5.0]])
+
+
 def test_probability_is_derived():
     lyr = layer(250, LayerKind.WSE, [[5.0]])
     assert lyr.exceedance_probability == 1.0 / 250.0

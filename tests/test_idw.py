@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flopit import IdwMode, IdwParams, idw_fill, idw_smooth
+from flopit.idw import _box_counts
 
 from conftest import make_raster
 
@@ -139,6 +140,36 @@ def test_matches_brute_force(op, rng):
                 else:
                     expected = res[0]
                 assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), (row, col)
+
+
+def test_box_counts_match_brute_force(rng):
+    for _ in range(30):
+        shape = tuple(rng.integers(1, 9, 2))
+        mask = rng.random(shape) < rng.random()
+        radius = int(rng.integers(1, 12))  # often wider than the grid
+        got = _box_counts(mask, radius)
+        for row, col in np.ndindex(shape):
+            box = mask[max(row - radius, 0):row + radius + 1,
+                       max(col - radius, 0):col + radius + 1]
+            assert got[row, col] == box.sum(), (shape, radius, row, col)
+
+
+@pytest.mark.parametrize("op", [idw_fill, idw_smooth])
+def test_radius_beyond_grid_is_exact(op, rng):
+    vals = rng.uniform(0, 9, (7, 4))
+    vals[rng.random((7, 4)) < 0.6] = NODATA
+    r = make_raster(vals)
+    wide = op(r, IdwParams(radius_cells=7, max_neighbors=40))
+    huge = op(r, IdwParams(radius_cells=10**6, max_neighbors=40))
+    assert wide.values.tobytes() == huge.values.tobytes()
+
+
+def test_nothing_to_fill_returns_input(rng):
+    r = make_raster(rng.uniform(0, 9, (6, 6)))
+    assert idw_fill(r, IdwParams()) is r
+    empty = make_raster(np.full((6, 6), NODATA))
+    assert idw_fill(empty, IdwParams()) is empty
+    assert idw_smooth(empty, IdwParams()) is empty
 
 
 def test_repeated_runs_identical(rng):

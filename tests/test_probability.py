@@ -2,10 +2,12 @@
 
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from flopit import probability
 from flopit import (
     CLAMP_HIGH,
     CLAMP_INTERIOR,
@@ -183,13 +185,18 @@ def test_zone_dominance_on_ramp():
 def test_worker_count_does_not_change_bytes():
     spec = FixtureSpec(shape=FixtureShape.VALLEY, ncols=60, nrows=45, slope=0.4)
     dem, layers = generate_fixture(spec)
-    stack = validate_stack(dem, layers)
-    ref = interpolate_map(stack, IdwParams(), SPLINE, workers=1)
-    for workers in (2, 3, 7):
-        other = interpolate_map(stack, IdwParams(), SPLINE, workers=workers)
-        assert ref.probability.values.tobytes() == other.probability.values.tobytes()
-        assert ref.clamp_flags.values.tobytes() == other.clamp_flags.values.tobytes()
-        assert ref.return_period.values.tobytes() == other.return_period.values.tobytes()
+    stack = fill_stack(validate_stack(dem, layers), IdwParams())
+    ref = interpolate_map(stack, None, SPLINE, workers=1)  # a single band
+    # 45, 12 or 7 bands of 1, 4 or 7 rows; the last band is shorter
+    for band_cells in (1, 250, 7 * 60):
+        with mock.patch.object(probability, "_BAND_CELLS", band_cells):
+            for workers in (1, 2, 3, 7):
+                other = interpolate_map(stack, None, SPLINE, workers=workers)
+                for name in ("probability", "return_period", "clamp_flags"):
+                    assert (
+                        getattr(other, name).values.tobytes()
+                        == getattr(ref, name).values.tobytes()
+                    ), (band_cells, workers, name)
 
 
 def test_banded_writes_under_thread_switching():
@@ -206,7 +213,9 @@ def test_banded_writes_under_thread_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        other = interpolate_map(stack, None, SPLINE, workers=workers)
+        # 50 cells = 2 rows of 23: 1.5 bands per worker
+        with mock.patch.object(probability, "_BAND_CELLS", 50):
+            other = interpolate_map(stack, None, SPLINE, workers=workers)
     finally:
         sys.setswitchinterval(interval)
     assert ref.probability.values.tobytes() == other.probability.values.tobytes()

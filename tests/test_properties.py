@@ -9,6 +9,8 @@
   slopes already satisfy the monotonicity disc, so the limiter is idle.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from flopit import (  # noqa: E402
     make_curve,
     validate_stack,
 )
+from flopit import probability  # noqa: E402
 
 from conftest import make_raster  # noqa: E402
 
@@ -59,9 +62,13 @@ def stacks(draw):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(stacks(), st.sampled_from(list(InterpolationMethod)))
-def test_map_equals_per_cell_curves(stack, method):
-    maps = [interpolate_map(stack, None, method, workers=w) for w in (1, 2, 3)]
+@given(stacks(), st.sampled_from(list(InterpolationMethod)), st.integers(1, 20))
+def test_map_equals_per_cell_curves(stack, method, band_cells):
+    # the default band holds the whole grid; a small one splits it into
+    # bands of one or more rows, often not a whole number of rows per band
+    maps = [interpolate_map(stack, None, method)]
+    with mock.patch.object(probability, "_BAND_CELLS", band_cells):
+        maps += [interpolate_map(stack, None, method, workers=w) for w in (1, 2, 3)]
     for other in maps[1:]:
         for name in ("probability", "return_period", "clamp_flags"):
             assert (
