@@ -86,7 +86,7 @@ def build_wse(dem: Raster, layer: ReturnPeriodLayer) -> Raster:
     Depth grids become dem + depth where both cells hold data and depth is
     positive; zero or negative depths carry no flood surface information and
     map to nodata, as do cells where either input is nodata. WSE grids pass
-    through unchanged.
+    through unchanged. Raises StackError if a sum overflows to infinity.
     """
     if not grids_aligned(dem.header, layer.grid.header):
         raise AlignmentError(
@@ -98,7 +98,15 @@ def build_wse(dem: Raster, layer: ReturnPeriodLayer) -> Raster:
     nodata = layer.grid.nodata
     ok = (depth != nodata) & (depth > 0) & dem.data_mask
     out = np.full(depth.shape, nodata)
-    out[ok] = dem.values[ok] + depth[ok]
+    with np.errstate(over="ignore"):
+        out[ok] = dem.values[ok] + depth[ok]
+    bad = ~np.isfinite(out)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise StackError(
+            f"layer T={layer.return_period_years:g}: DEM + depth overflows "
+            f"at cell ({r}, {c})"
+        )
     return Raster(layer.grid.header, locked(out))
 
 

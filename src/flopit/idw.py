@@ -11,12 +11,14 @@ is the Chebyshev box of ``radius_cells``. Neighbour selection is fully
 deterministic: candidates take the nearest ``max_neighbors`` data cells,
 with distance ties broken by (row offset, column offset) ascending. All
 reads come from the input raster, never the output under construction, so
-results are independent of cell visitation order.
+results are independent of cell visitation order. A cell's scan may visit
+all (2r+1)^2 - 1 cells of its box: IDW's cost grows as ``radius_cells``^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -42,10 +44,14 @@ class IdwParams:
     mode: IdwMode = IdwMode.FILL_ONLY
 
     def __post_init__(self):
-        if not self.power > 0:
-            raise ValueError(f"power must be positive, got {self.power}")
         if self.radius_cells < 1:
             raise ValueError(f"radius_cells must be >= 1, got {self.radius_cells}")
+        # above top the farthest weight, (2 r^2)^(-power/2), is < 2^-1074, i.e. 0
+        top = 2 * 1074 / (1 + 2 * math.log2(self.radius_cells))  # log2: no overflow
+        if not 0 < self.power <= top:
+            raise ValueError(
+                f"power {self.power} not in (0, {top:.10g}] at radius {self.radius_cells}"
+            )
         if self.min_neighbors < 1:
             raise ValueError("min_neighbors must be >= 1")
         if self.min_neighbors > self.max_neighbors:
@@ -59,13 +65,9 @@ class IdwParams:
 def _offsets(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dr, dc, d2) for the Chebyshev box, sorted by (d2, dr, dc), no centre."""
     span = np.arange(-radius, radius + 1)
-    dr, dc = np.meshgrid(span, span, indexing="ij")
-    dr = dr.ravel()
-    dc = dc.ravel()
-    keep = (dr != 0) | (dc != 0)
-    dr, dc = dr[keep], dc[keep]
+    dr, dc = (a.ravel() for a in np.meshgrid(span, span, indexing="ij"))
     d2 = dr * dr + dc * dc
-    order = np.lexsort((dc, dr, d2))
+    order = np.lexsort((dc, dr, d2))[1:]  # the centre, d2 = 0, sorts first
     return dr[order], dc[order], d2[order]
 
 
@@ -83,6 +85,7 @@ def _accumulate(
     mask: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
+    radius: int,
     params: IdwParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """IDW estimate over the nearest data cells of each candidate.
@@ -92,37 +95,34 @@ def _accumulate(
     meaningful where the count is positive. Offsets are visited in
     ascending distance order, so once a candidate has max_neighbors
     contributions no nearer neighbour can exist and it drops out of the
-    scan.
+    scan. ``radius``, not ``params.radius_cells``, bounds the box; padding
+    by it makes each offset one flat step that stays in the arrays.
     """
-    nrows, ncols = values.shape
-    m = rows.shape[0]
-    num = np.zeros(m)
-    den = np.zeros(m)
+    width = values.shape[1] + 2 * radius
+    flat_values = np.pad(values, radius).ravel()
+    flat_mask = np.pad(mask, radius).ravel()
+    base = (rows + radius) * width + cols + radius
+    m = base.shape[0]
+    num, den = np.zeros(m), np.zeros(m)
     cnt = np.zeros(m, dtype=np.int64)
-    vmin = np.full(m, np.inf)
-    vmax = np.full(m, -np.inf)
+    vmin, vmax = np.full(m, np.inf), np.full(m, -np.inf)
 
-    dr_all, dc_all, d2_all = _offsets(params.radius_cells)
+    dr_all, dc_all, d2_all = _offsets(radius)
     weights = d2_all.astype(np.float64) ** (-0.5 * params.power)
     active = np.arange(m)
-    max_nb = params.max_neighbors
-    for dr, dc, w in zip(dr_all, dc_all, weights):
-        rr = rows[active] + dr
-        cc = cols[active] + dc
-        ok = (rr >= 0) & (rr < nrows) & (cc >= 0) & (cc < ncols)
-        rr = rr[ok]
-        cc = cc[ok]
-        hit = mask[rr, cc]
-        sel = active[ok][hit]
+    for step, w in zip(dr_all * width + dc_all, weights):
+        nb = base[active] + step
+        hit = flat_mask[nb]
+        sel = active[hit]
         if sel.size:
             # sel holds unique indices (one neighbour position per candidate)
-            v = values[rr[hit], cc[hit]]
+            v = flat_values[nb[hit]]
             num[sel] += w * v
             den[sel] += w
             cnt[sel] += 1
             vmin[sel] = np.minimum(vmin[sel], v)
             vmax[sel] = np.maximum(vmax[sel], v)
-            active = active[cnt[active] < max_nb]
+            active = active[cnt[active] < params.max_neighbors]
             if active.size == 0:
                 break
     with np.errstate(invalid="ignore"):  # 0/0 where no neighbour was found
@@ -136,7 +136,6 @@ def _idw(wse: Raster, params: IdwParams, smooth: bool) -> Raster:
     # no offset beyond the grid's extent can land in it, so a wider box
     # changes nothing but the cost of scanning it
     radius = min(params.radius_cells, max(1, max(wse.header.shape) - 1))
-    params = replace(params, radius_cells=radius)
     mask = wse.data_mask
     cand = ~mask
     if cand.any():
@@ -146,12 +145,12 @@ def _idw(wse: Raster, params: IdwParams, smooth: bool) -> Raster:
     if not cand.any():
         return wse
     rows, cols = np.nonzero(cand)
-    est, cnt = _accumulate(wse.values, mask, rows, cols, params)
-    is_data = mask[rows, cols]
-    fill = ~is_data & (cnt >= params.min_neighbors)
+    est, cnt = _accumulate(wse.values, mask, rows, cols, radius, params)
+    # nodata candidates have >= min_neighbors data cells in range (box counts)
+    fill = ~mask[rows, cols]
     out = wse.values.copy()
     out[rows[fill], cols[fill]] = est[fill]
-    blend = is_data & (cnt > 0)
+    blend = ~fill & (cnt > 0)
     r, c = rows[blend], cols[blend]
     out[r, c] = 0.5 * wse.values[r, c] + 0.5 * est[blend]
     return Raster(wse.header, locked(out))

@@ -39,10 +39,11 @@ class GridHeader:
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
+        for name in ("xllcorner", "yllcorner", "cellsize", "nodata_value"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.cellsize > 0:
             raise ValueError(f"cellsize must be positive, got {self.cellsize}")
-        if not math.isfinite(self.nodata_value):
-            raise ValueError("nodata_value must be finite")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -180,7 +181,7 @@ def read_ascii_grid(path: str | Path) -> Raster:
             f"{path.name}: missing header key {missing[0].upper()!r}"
         )
     for key in ("ncols", "nrows"):
-        if header[key] != int(header[key]):
+        if not header[key].is_integer():  # False for nan and inf too
             raise GridParseError(f"{path.name}: header {key.upper()} must be an integer")
 
     try:

@@ -1,5 +1,7 @@
 """Command-line behaviour: wiring, exit codes, determinism."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,46 @@ def test_huge_idw_radius_equals_grid_wide_radius(small_fixture, tmp_path):
         for suffix in ("_prob.asc", "_rp.asc", "_clamp.asc", "_zones.asc"):
             a = (tmp_path / f"{mode}6{suffix}").read_bytes()
             assert a == (tmp_path / f"{mode}{10**6}{suffix}").read_bytes()
+
+
+def test_non_finite_header_is_data_error(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(interpolate_args(fixture_dir, out)) == 0
+    prob = tmp_path / "nan_prob.asc"
+    prob.write_bytes((tmp_path / "r_prob.asc").read_bytes().replace(b"NCOLS 50", b"NCOLS nan"))
+    code = main([
+        "compare", "--prob", str(prob), "--zones", f"{out}_zones.asc",
+        "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 2
+    assert "nan_prob.asc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("power", ["1100", "inf"])
+def test_underflowing_idw_power_is_data_error(tmp_path, capsys, power):
+    fix = tmp_path / "fix"
+    assert main(["synth", "--ncols", "30", "--nrows", "30", "--out", str(fix)]) == 0
+    assert main(interpolate_args(fix, tmp_path / "x", "--idw-power", power)) == 2
+    assert "not in (0, " in capsys.readouterr().err
+    assert not (tmp_path / "x_prob.asc").exists()
+
+
+def test_cells_per_second_covers_the_whole_run(fixture_dir, tmp_path, capsys, monkeypatch):
+    delay = 0.2
+    write = flopit.cli.write_ascii_grid
+
+    def slow_write(*args, **kwargs):
+        time.sleep(delay)
+        write(*args, **kwargs)
+
+    monkeypatch.setattr(flopit.cli, "write_ascii_grid", slow_write)
+    t0 = time.perf_counter()
+    assert main(interpolate_args(fixture_dir, tmp_path / "slow")) == 0
+    wall = time.perf_counter() - t0
+    summary = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    seconds = int(summary["cells_total"]) / float(summary["cells_per_second"])
+    # four grids are written, each after a sleep; the run took no longer than main()
+    assert 4 * delay <= seconds * 1.01 and seconds <= wall * 1.01
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

@@ -47,6 +47,12 @@ def test_build_wse_never_below_dem(rng):
     assert (out.values[mask] >= dem_vals[mask]).all()
 
 
+def test_build_wse_overflow_names_layer():
+    dem = make_raster([[1.0, 1e308]])
+    with pytest.raises(StackError, match=r"T=100: DEM \+ depth overflows at cell \(0, 1\)"):
+        build_wse(dem, layer(100, LayerKind.DEPTH, [[2.0, 1e308]]))
+
+
 def test_build_wse_misaligned():
     dem = make_raster([[1.0]])
     with pytest.raises(AlignmentError):

@@ -1,6 +1,8 @@
 """IDW fill/smooth against a brute-force re-implementation and the
 documented hand-computed cases."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -113,17 +115,29 @@ def test_smooth_isolated_cell_unchanged():
     assert out.values[3, 3] == 8.0
 
 
+# single rows and columns, and radii at or beyond the grid's extent, are
+# where a neighbour off the grid's edge could wrap into the next row
+_BRUTE_CASES = [
+    ((10, 10), IdwParams(power=1.7, radius_cells=3, max_neighbors=5)),
+    ((1, 13), IdwParams(power=1.7, radius_cells=3, max_neighbors=5)),
+    ((13, 1), IdwParams(power=1.7, radius_cells=3, max_neighbors=5)),
+    ((1, 7), IdwParams(radius_cells=20, max_neighbors=4)),
+    ((6, 1), IdwParams(radius_cells=6, max_neighbors=3, min_neighbors=2)),
+    ((4, 9), IdwParams(radius_cells=9, max_neighbors=40, min_neighbors=2)),
+    ((5, 3), IdwParams(power=3.0, radius_cells=4, max_neighbors=6, min_neighbors=3)),
+]
+
+
 @pytest.mark.parametrize("op", [idw_fill, idw_smooth])
 def test_matches_brute_force(op, rng):
-    params = IdwParams(power=1.7, radius_cells=3, max_neighbors=5)
-    for _ in range(8):
-        vals = rng.uniform(-5, 20, (10, 10))
-        vals[rng.random((10, 10)) < 0.5] = NODATA
-        r = make_raster(vals)
-        mask = r.data_mask
-        out = op(r, params)
-        for row in range(10):
-            for col in range(10):
+    for shape, params in _BRUTE_CASES:
+        for _ in range(8):
+            vals = rng.uniform(-5, 20, shape)
+            vals[rng.random(shape) < 0.5] = NODATA
+            r = make_raster(vals)
+            mask = r.data_mask
+            out = op(r, params)
+            for row, col in np.ndindex(shape):
                 got = out.values[row, col]
                 res = brute_idw(vals, mask, row, col, params)
                 if mask[row, col]:
@@ -135,11 +149,12 @@ def test_matches_brute_force(op, rng):
                             if res is None
                             else 0.5 * vals[row, col] + 0.5 * res[0]
                         )
-                elif res is None:
+                elif res is None or res[1] < params.min_neighbors:
                     expected = NODATA
                 else:
                     expected = res[0]
-                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), (row, col)
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), (
+                    shape, row, col)
 
 
 def test_box_counts_match_brute_force(rng):
@@ -189,3 +204,17 @@ def test_params_validation():
     with pytest.raises(ValueError):
         IdwParams(min_neighbors=5, max_neighbors=4)
     assert IdwParams().mode is IdwMode.FILL_ONLY
+    for power in (1100.0, float("inf")):
+        with pytest.raises(ValueError, match=r"not in \(0, "):
+            IdwParams(power=power)
+    with pytest.raises(ValueError, match=r"not in \(0, "):  # not OverflowError
+        IdwParams(radius_cells=10**400)
+    assert IdwParams(power=1e-3, radius_cells=10**400).radius_cells == 10**400
+    # the bound is where the farthest weight, (2 r^2)^(-power/2), turns 0
+    for radius in (1, 10, 10**6):
+        limit = 2 * 1074 / (1 + 2 * math.log2(radius))
+        IdwParams(power=0.999 * limit, radius_cells=radius)
+        assert np.float64(2 * radius**2) ** (-0.5 * 0.999 * limit) > 0
+        with pytest.raises(ValueError, match=r"not in \(0, "):
+            IdwParams(power=1.001 * limit, radius_cells=radius)
+        assert np.float64(2 * radius**2) ** (-0.5 * 1.001 * limit) == 0

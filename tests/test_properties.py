@@ -6,9 +6,15 @@
 * probabilities stay between the rarest and the most frequent layer's;
 * output is independent of the worker count;
 * the Fritsch-Carlson slopes agree with SciPy's PCHIP wherever SciPy's
-  slopes already satisfy the monotonicity disc, so the limiter is idle.
+  slopes already satisfy the monotonicity disc, so the limiter is idle;
+* a truncated or byte-mutated input grid never escapes the CLI's exit-code
+  contract (0, 1, 2 or 3, no exception).
 """
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,6 +36,7 @@ from flopit import (  # noqa: E402
     validate_stack,
 )
 from flopit import probability  # noqa: E402
+from flopit.cli import main  # noqa: E402
 
 from conftest import make_raster  # noqa: E402
 
@@ -134,3 +141,57 @@ def test_fc_slopes_match_scipy_pchip(data):
     assume(np.all(a * a + b * b <= 9.0))
     tol = 1e-12 * np.max(np.abs(secants))
     assert np.all(np.abs(fc_slopes(x, y) - ref) <= tol)
+
+
+_LAYERS = ("wse_T10.asc", "wse_T100.asc", "wse_T500.asc")
+_OUTPUTS = ("run_prob.asc", "run_zones.asc")
+
+
+def _argv(root, name, path, out):
+    """The run that reads grid ``name`` under ``root``: interpolate for the
+    synth inputs, compare for the interpolate outputs; it reads that grid
+    from ``path`` and writes to ``out``."""
+    grids = {n: str(root / n) for n in ("dem.asc", *_LAYERS, *_OUTPUTS)}
+    grids[name] = str(path)
+    if name in _OUTPUTS:
+        return ["compare", "--prob", grids["run_prob.asc"],
+                "--zones", grids["run_zones.asc"], "--out", f"{out}.csv"]
+    argv = ["interpolate", "--dem", grids["dem.asc"], "--out", str(out)]
+    for t, layer in zip((10, 100, 500), _LAYERS):
+        argv += ["--layer", f"{t}:wse:{grids[layer]}"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A 6x5 synth fixture and the outputs of one interpolate run on it."""
+    root = tmp_path_factory.mktemp("mutation")
+    args = ["synth", "--ncols", "6", "--nrows", "5", "--slope", "2.5"]
+    assert main(args + ["--out", str(root)]) == 0
+    dem = root / "dem.asc"
+    assert main(_argv(root, "dem.asc", dem, root / "run")) == 0
+    return root
+
+
+# bytes that turn one number or header value into another are most telling
+_byte = st.one_of(st.sampled_from(b"0123456789.-+eEnaif \n"), st.integers(0, 255))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["dem.asc", *_LAYERS, *_OUTPUTS]),
+    st.booleans(),
+    st.integers(0, 2**16),
+    _byte,
+)
+def test_mutated_grid_stays_in_exit_contract(small_run, name, truncate, pos, byte):
+    data = (small_run / name).read_bytes()
+    pos %= len(data)
+    mutated = data[:pos] if truncate else data[:pos] + bytes([byte]) + data[pos + 1:]
+    with contextlib.ExitStack() as stack:
+        tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        (tmp / name).write_bytes(mutated)
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        code = main(_argv(small_run, name, tmp / name, tmp / "out"))
+    assert code in (0, 1, 2, 3)

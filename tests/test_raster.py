@@ -157,6 +157,28 @@ def test_bad_header_value(tmp_path):
         read_ascii_grid(f)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("NCOLS", "nan"),
+        ("NCOLS", "inf"),
+        ("NCOLS", "1e400"),
+        ("NROWS", "-inf"),
+        ("XLLCORNER", "nan"),
+        ("YLLCORNER", "inf"),
+        ("CELLSIZE", "inf"),
+        ("NODATA_VALUE", "nan"),
+    ],
+)
+def test_non_finite_header_value_rejected(tmp_path, key, value):
+    header = {"NCOLS": "2", "NROWS": "1", "XLLCORNER": "0", "YLLCORNER": "0",
+              "CELLSIZE": "1", "NODATA_VALUE": "-9999", key: value}
+    text = "".join(f"{k} {v}\n" for k, v in header.items()) + "1 2\n"
+    f = write_text(tmp_path / "g.asc", text)
+    with pytest.raises(GridParseError, match=f"(?i)g.asc: .*{key}"):
+        read_ascii_grid(f)
+
+
 def test_wrong_value_count(tmp_path):
     f = write_text(
         tmp_path / "g.asc",
