@@ -20,6 +20,10 @@ import numpy as np
 from .errors import AlignmentError, StackError
 from .raster import Raster, grids_aligned, locked
 
+# curve evaluation multiplies differences of elevations; within ±1e150 no
+# product of two of them can overflow a float64
+MAX_ABS_ELEVATION = 1e150
+
 
 class LayerKind(Enum):
     DEPTH = "depth"
@@ -49,7 +53,8 @@ class ReturnPeriodLayer:
 
 @dataclass(frozen=True)
 class HazardStack:
-    """Validated bundle: DEM plus 2 to 32 WSE layers sorted by ascending T."""
+    """Validated bundle: DEM plus 2 to 32 WSE layers sorted by ascending T,
+    every data value within ±MAX_ABS_ELEVATION."""
 
     dem: Raster
     layers: tuple[ReturnPeriodLayer, ...] = field(default=())
@@ -69,6 +74,17 @@ class HazardStack:
                 raise AlignmentError(
                     f"layer T={lyr.return_period_years:g} grid is not aligned "
                     f"with the DEM"
+                )
+        named = [("DEM", self.dem)] + [
+            (f"layer T={lyr.return_period_years:g}", lyr.grid) for lyr in self.layers
+        ]
+        for name, grid in named:
+            huge = grid.data_mask & (np.abs(grid.values) > MAX_ABS_ELEVATION)
+            if huge.any():
+                r, c = np.argwhere(huge)[0]
+                raise StackError(
+                    f"{name}: value {grid.values[r, c]:g} at cell ({r}, {c}) is "
+                    f"beyond ±{MAX_ABS_ELEVATION:g}"
                 )
 
     @property

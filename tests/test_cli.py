@@ -240,6 +240,18 @@ def test_underflowing_idw_power_is_data_error(tmp_path, capsys, power):
     assert not (tmp_path / "x_prob.asc").exists()
 
 
+def test_elevation_near_float_max_is_data_error(tmp_path, capsys):
+    # spline evaluation of these knots overflows to nan without the limit
+    args = ["interpolate", "--out", str(tmp_path / "x")]
+    for name, value in [("dem", -1e308), ("10", -1.7e308), ("100", -1.0), ("500", 0.0)]:
+        path = tmp_path / f"{name}.asc"
+        write_ascii_grid(make_raster([[value]]), path)
+        args += ["--dem", str(path)] if name == "dem" else ["--layer", f"{name}:wse:{path}"]
+    assert main(args) == 2
+    assert "DEM: value -1e+308 at cell (0, 0)" in capsys.readouterr().err
+    assert not (tmp_path / "x_prob.asc").exists()
+
+
 def test_cells_per_second_covers_the_whole_run(fixture_dir, tmp_path, capsys, monkeypatch):
     delay = 0.2
     write = flopit.cli.write_ascii_grid

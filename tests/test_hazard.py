@@ -97,6 +97,29 @@ def test_stack_caps_layers_at_32():
         validate_stack(dem, layers)
 
 
+@pytest.mark.parametrize(
+    "dem, wse100, name",
+    [(1e150 * 1.0000001, 2.0, "DEM"), (1.0, -2e150, "layer T=100")],
+)
+def test_stack_rejects_values_beyond_1e150(dem, wse100, name):
+    with pytest.raises(StackError, match=f"^{name}: value .* at cell \\(0, 1\\)"):
+        validate_stack(
+            make_raster([[0.0, dem]]),
+            [layer(10, LayerKind.WSE, [[1.0, 1.0]]),
+             layer(100, LayerKind.WSE, [[2.0, wse100]])],
+        )
+
+
+def test_stack_limit_ignores_nodata_cells():
+    huge = -1e300
+    stack = validate_stack(
+        make_raster([[1e150, huge]], nodata=huge),
+        [layer(10, LayerKind.WSE, [[-1e150, huge]], nodata=huge),
+         layer(100, LayerKind.WSE, [[1e150, 2.0]], nodata=huge)],
+    )
+    assert stack.periods == (10.0, 100.0)
+
+
 def test_validate_stack_duplicate_period():
     dem = make_raster([[1.0]])
     with pytest.raises(StackError, match="duplicate"):

@@ -3,12 +3,17 @@
 * every cell of a probability map is exactly what the scalar path
   (``make_curve`` + ``eval_curve``) gives for that cell's pairs, flag
   included, or nodata where the map has nothing to evaluate;
-* probabilities stay between the rarest and the most frequent layer's;
+* probabilities stay between the rarest and the most frequent layer's,
+  and stay finite for elevations up to the stack's ±1e150 limit;
+* p never falls below the p = 1/T of the cell's flood zone, and raising
+  the ground under fixed surfaces never raises p;
 * output is independent of the worker count;
 * the Fritsch-Carlson slopes agree with SciPy's PCHIP wherever SciPy's
   slopes already satisfy the monotonicity disc, so the limiter is idle;
 * a truncated or byte-mutated input grid never escapes the CLI's exit-code
-  contract (0, 1, 2 or 3, no exception).
+  contract (0, 1, 2 or 3, no exception);
+* the grid writer's bytes equal ``%``-formatting each cell, for every
+  ``decimals`` and wherever the row blocks end.
 """
 
 import contextlib
@@ -29,13 +34,17 @@ from flopit import (  # noqa: E402
     InterpolationMethod,
     LayerKind,
     ReturnPeriodLayer,
+    derive_zones,
     eval_curve,
     fc_slopes,
     interpolate_map,
     make_curve,
     validate_stack,
+    write_ascii_grid,
 )
-from flopit import probability  # noqa: E402
+from flopit import probability, raster  # noqa: E402
+from flopit.hazard import MAX_ABS_ELEVATION  # noqa: E402
+from flopit.raster import _format_geo  # noqa: E402
 from flopit.cli import main  # noqa: E402
 
 from conftest import make_raster  # noqa: E402
@@ -43,11 +52,11 @@ from conftest import make_raster  # noqa: E402
 NODATA = -9999.0
 
 # half-unit steps make equal surfaces and exact knot hits common
-_cell = st.one_of(
-    st.just(NODATA),
+_level = st.one_of(
     st.integers(0, 20).map(lambda v: v / 2),
     st.floats(0.0, 10.0, allow_subnormal=False),
 )
+_cell = st.one_of(st.just(NODATA), _level)
 
 
 @st.composite
@@ -195,3 +204,109 @@ def test_mutated_grid_stays_in_exit_contract(small_run, name, truncate, pos, byt
         stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         code = main(_argv(small_run, name, tmp / name, tmp / "out"))
     assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(stacks(), st.sampled_from(list(InterpolationMethod)), st.data())
+def test_zone_dominance_and_rising_ground(stack, method, data):
+    pm = interpolate_map(stack, None, method)
+    prob = pm.probability.values
+    valid = pm.probability.data_mask
+
+    # the zone communicates p = 1/T; the map never reports a rarer flood
+    zones = derive_zones(stack).zones
+    both = valid & zones.data_mask
+    assert (prob[both] >= 1.0 / zones.values[both] - 1e-12).all()
+
+    # raising the ground under the same surfaces never raises p
+    dem = stack.dem
+    rise = data.draw(hnp.arrays(np.float64, dem.values.shape, elements=_level))
+    higher = np.where(dem.data_mask, dem.values + rise, NODATA)
+    raised = validate_stack(make_raster(higher, NODATA), list(stack.layers))
+    prob_raised = interpolate_map(raised, None, method).probability
+    assert (prob_raised.data_mask == valid).all()
+    assert (prob_raised.values[valid] <= prob[valid]).all()
+
+
+@st.composite
+def huge_stacks(draw):
+    # values k·M/2 for |k| <= 4 at one magnitude M per stack, so knots sit
+    # at least 0.5 apart whatever M is
+    scale = draw(st.floats(1.0, MAX_ABS_ELEVATION / 2))
+    halves = st.one_of(st.just(NODATA), st.integers(-4, 4).map(lambda k: k * scale / 2))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    periods = draw(
+        st.lists(st.integers(2, 1000), min_size=2, max_size=5, unique=True).map(sorted)
+    )
+
+    def grid():
+        return make_raster(draw(hnp.arrays(np.float64, shape, elements=halves)), NODATA)
+
+    layers = [ReturnPeriodLayer(float(t), LayerKind.WSE, grid()) for t in periods]
+    return validate_stack(grid(), layers)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(huge_stacks(), st.sampled_from(list(InterpolationMethod)))
+def test_elevations_up_to_the_limit_give_finite_p(stack, method):
+    pm = interpolate_map(stack, None, method)
+    p = pm.probability.values[pm.probability.data_mask]
+    assert np.isfinite(p).all()
+    assert ((p >= stack.probabilities[-1]) & (p <= stack.probabilities[0])).all()
+
+
+# -- ASCII grid writer -------------------------------------------------------
+
+
+def _reference_grid_text(raster, decimals):
+    """The grid text as formatted one cell at a time with ``%``."""
+    hdr = raster.header
+    nodata_text = _format_geo(hdr.nodata_value)
+    lines = [
+        f"NCOLS {hdr.ncols}",
+        f"NROWS {hdr.nrows}",
+        f"XLLCORNER {_format_geo(hdr.xllcorner)}",
+        f"YLLCORNER {_format_geo(hdr.yllcorner)}",
+        f"CELLSIZE {_format_geo(hdr.cellsize)}",
+        f"NODATA_VALUE {nodata_text}",
+    ]
+    fmt = f"%.{decimals}f"
+    for row in raster.values:
+        lines.append(" ".join(nodata_text if v == hdr.nodata_value else fmt % v for v in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@st.composite
+def written_cells(draw, decimals, nodata):
+    """Values where fixed-point printing is hardest at ``decimals`` places."""
+    kind = draw(st.integers(0, 6))
+    if kind == 0:  # exact ties, when representable, and their neighbours
+        v = (draw(st.integers(-10**7, 10**7)) + 0.5) / 10.0**decimals
+        return float(np.nextafter(v, draw(st.sampled_from([-np.inf, v, np.inf]))))
+    if kind == 1:
+        return draw(st.sampled_from([0.0, -0.0, -1e-9, -1e-300, -5e-324, nodata]))
+    if kind == 2:  # around the 2^52 end of the integer path
+        y = 2.0**52 * draw(st.floats(0.25, 4.0))
+        return draw(st.sampled_from([-1.0, 1.0])) * np.floor(y) / 10.0**decimals
+    if kind == 3:
+        return draw(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+    if kind == 4:
+        return draw(st.floats(-1e-307, 1e-307))
+    if kind == 5:
+        return draw(st.integers(-10**9, 10**9)) / 2.0**draw(st.integers(0, 30))
+    return draw(st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_writer_bytes_equal_percent_formatting(tmp_path_factory, data):
+    decimals = data.draw(st.integers(0, 20))
+    nodata = data.draw(st.sampled_from([-9999.0, 0.0, 2.5, -1.5e300]))
+    shape = data.draw(st.sampled_from([(1, 9), (9, 1), (3, 4), (5, 2)]))
+    vals = data.draw(hnp.arrays(np.float64, shape, elements=written_cells(decimals, nodata)))
+    block_cells = data.draw(st.integers(1, 12))  # whole rows, often fewer than the grid's
+    r = make_raster(vals, nodata, cellsize=0.5, xll=-3.25, yll=1e20)
+    path = tmp_path_factory.mktemp("w") / "g.asc"
+    with mock.patch.object(raster, "_BLOCK_CELLS", block_cells):
+        write_ascii_grid(r, path, decimals)
+    assert path.read_bytes() == _reference_grid_text(r, decimals)

@@ -1,10 +1,12 @@
 """ASCII grid parsing, writing and round-trip behaviour."""
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from flopit import raster
 from flopit import (
     GridDimensionError,
     GridHeader,
@@ -179,6 +181,12 @@ def test_non_finite_header_value_rejected(tmp_path, key, value):
         read_ascii_grid(f)
 
 
+def test_header_key_with_two_values(tmp_path):
+    f = write_text(tmp_path / "g.asc", "NCOLS 2 3\nNROWS 1\n")
+    with pytest.raises(GridParseError, match="'NCOLS' on line 1 needs exactly one value"):
+        read_ascii_grid(f)
+
+
 def test_wrong_value_count(tmp_path):
     f = write_text(
         tmp_path / "g.asc",
@@ -232,6 +240,91 @@ def test_non_ascii_byte_rejected(tmp_path, prefix, body, offset):
         offset = len(head) + 2
     with pytest.raises(GridParseError, match=f"bom.asc: non-ASCII byte .* offset {offset}"):
         read_ascii_grid(f)
+
+
+_HEAD = "NCOLS 3\nNROWS 4\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\nNODATA_VALUE -9999\n"
+# tokens of uneven width, so block cuts land at varied places
+_TOKENS = ["1", "-2.5", "1e3", "1_0", "+.5", "5.", "-0", "0.000001",
+           "123456.789", "-9999", "6.02E+23", "1e-400"]
+_SEPARATORS = [" ", "\r\n", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " \n"]
+
+
+@pytest.mark.parametrize("block_cells", [1, 2, 5, 12, 1 << 16])
+@pytest.mark.parametrize("sep", _SEPARATORS, ids=repr)
+@pytest.mark.parametrize("layout", ["rows", "wrapped", "one-line", "no-final-newline"])
+def test_body_read_in_blocks(tmp_path, block_cells, sep, layout):
+    if layout == "rows":
+        body = "\n".join(sep.join(_TOKENS[i:i + 3]) for i in range(0, 12, 3)) + "\n"
+    elif layout == "wrapped":
+        body = "\n".join(sep.join(_TOKENS[i:i + 5]) for i in range(0, 12, 5)) + "\n"
+    elif layout == "one-line":
+        body = sep.join(_TOKENS) + sep
+    else:
+        body = sep.join(_TOKENS)
+    text = _HEAD + body
+    f = write_text(tmp_path / "g.asc", text)
+    with mock.patch.object(raster, "_BLOCK_CELLS", block_cells):
+        r = read_ascii_grid(f)
+    want = np.array([float(tok) for tok in text.split()[12:]])
+    assert r.values.tobytes() == want.reshape(4, 3).tobytes()
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"], ids=repr)
+def test_header_lines_break_where_splitlines_breaks(tmp_path, brk):
+    f = write_text(tmp_path / "g.asc", _HEAD.replace("\n", brk) + " ".join(_TOKENS))
+    r = read_ascii_grid(f)
+    assert r.header.nodata_value == -9999.0
+    assert r.values[3, 2] == 0.0  # "1e-400"
+
+
+@pytest.mark.parametrize("block_cells", [1, 2, 5, 11, 12])
+@pytest.mark.parametrize("change", ["drop", "add"])
+@pytest.mark.parametrize("at", [0, 4, 5, 6, 11])
+def test_count_error_next_to_block_cut(tmp_path, block_cells, change, at):
+    tokens = list(_TOKENS)
+    if change == "drop":
+        del tokens[at]
+    else:
+        tokens.insert(at, "7")
+    f = write_text(tmp_path / "g.asc", _HEAD + " ".join(tokens) + "\n")
+    with mock.patch.object(raster, "_BLOCK_CELLS", block_cells):
+        with pytest.raises(GridDimensionError) as exc:
+            read_ascii_grid(f)
+    assert str(exc.value) == (
+        f"g.asc: expected 12 values (4 rows x 3 cols), found {len(tokens)}"
+    )
+
+
+def test_header_counting_more_cells_than_the_body_can_hold(tmp_path):
+    # 10^10 cells cannot fit in a 4-byte body; nothing that size is allocated
+    f = write_text(
+        tmp_path / "g.asc",
+        "NCOLS 100000\nNROWS 100000\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n1 2\n",
+    )
+    with pytest.raises(GridDimensionError, match="expected 10000000000 values .* found 2"):
+        read_ascii_grid(f)
+
+
+@pytest.mark.parametrize("block_cells", [1, 3, 12])
+@pytest.mark.parametrize(
+    "token, error",
+    [("x2", "cannot parse body token 'x2'"), ("nan", "body contains 'nan'"),
+     ("0x10", "cannot parse body token '0x10'"), ("-inf", "body contains '-inf'")],
+)
+def test_first_bad_token_reported_across_blocks(tmp_path, block_cells, token, error):
+    # a non-finite value early and an unparsable one late: the unparsable
+    # one wins, as it does when the whole body is parsed at once
+    tokens = list(_TOKENS)
+    tokens[10] = token
+    if error.startswith("body contains"):
+        tokens[2] = token
+    else:
+        tokens[1] = "inf"
+    f = write_text(tmp_path / "g.asc", _HEAD + " ".join(tokens) + "\n")
+    with mock.patch.object(raster, "_BLOCK_CELLS", block_cells):
+        with pytest.raises(GridParseError) as exc:
+            read_ascii_grid(f)
+    assert str(exc.value).startswith(f"g.asc: {error}")
 
 
 def test_missing_file():
