@@ -28,6 +28,13 @@ import numpy as np
 from .errors import CurveDomainError
 
 
+# A knot not more than this above the last kept one is dropped. Then every
+# interval has h > 2^-330, so h^3 > 8*745/1.8e308: |d ln p| < 745 between
+# any two probabilities and limited slopes stay within 3 secants, so neither
+# c3 = .../(h*h) nor d ln p / h can overflow.
+MIN_KNOT_GAP = 2.0**-330
+
+
 class InterpolationMethod(Enum):
     MONOTONE_CUBIC = "spline"
     LOG_LINEAR = "loglinear"
@@ -61,10 +68,10 @@ def make_curve(points: Iterable[tuple[float, float]]) -> HazardCurve | None:
     """Build a hazard curve from (elevation, exceedance probability) pairs.
 
     Points are sorted by descending probability. A point whose elevation is
-    not strictly above that of the previous retained (more frequent) point
-    is dropped: real flood surfaces contain errors, and dropping restores
-    monotonicity without inventing data. Returns None when fewer than two
-    points survive.
+    not more than MIN_KNOT_GAP above that of the previous retained (more
+    frequent) point is dropped: real flood surfaces contain errors, and
+    dropping restores monotonicity without inventing data. Returns None
+    when fewer than two points survive.
     """
     pts = list(points)
     for _, p in pts:
@@ -73,7 +80,7 @@ def make_curve(points: Iterable[tuple[float, float]]) -> HazardCurve | None:
     pts.sort(key=lambda t: -t[1])
     kept: list[tuple[float, float]] = []
     for elev, p in pts:
-        if kept and (elev <= kept[-1][0] or p >= kept[-1][1]):
+        if kept and (elev <= kept[-1][0] + MIN_KNOT_GAP or p >= kept[-1][1]):
             continue
         kept.append((elev, p))
     if len(kept) < 2:
@@ -163,11 +170,10 @@ def _interval_index(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _hermite_eval(x, y, slopes, idx, z):
     cols = np.arange(z.shape[0])
-    y_full = np.broadcast_to(y, x.shape)
     xi = x[idx, cols]
     h = x[idx + 1, cols] - xi
-    yi = y_full[idx, cols]
-    di = (y_full[idx + 1, cols] - yi) / h
+    yi = y[idx]
+    di = (y[idx + 1] - yi) / h
     mi = slopes[idx, cols]
     mi1 = slopes[idx + 1, cols]
     s = z - xi
@@ -178,10 +184,9 @@ def _hermite_eval(x, y, slopes, idx, z):
 
 def _loglinear_eval(x, y, idx, z):
     cols = np.arange(z.shape[0])
-    y_full = np.broadcast_to(y, x.shape)
     xi = x[idx, cols]
-    yi = y_full[idx, cols]
-    di = (y_full[idx + 1, cols] - yi) / (x[idx + 1, cols] - xi)
+    yi = y[idx]
+    di = (y[idx + 1] - yi) / (x[idx + 1, cols] - xi)
     return yi + di * (z - xi)
 
 
@@ -196,10 +201,9 @@ def monotone_cubic_interpolate(x, y, zq) -> np.ndarray:
     zq = np.atleast_1d(np.asarray(zq, dtype=np.float64))
     slopes = fc_slopes(x, y)
     x2 = np.broadcast_to(x[:, None], (x.shape[0], zq.shape[0]))
-    y2 = y[:, None]
     s2 = np.broadcast_to(slopes[:, None], x2.shape)
     idx = _interval_index(x2, zq)
-    out = _hermite_eval(x2, y2, s2, idx, zq)
+    out = _hermite_eval(x2, y, s2, idx, zq)
     out = np.where(zq <= x[0], y[0], out)
     out = np.where(zq >= x[-1], y[-1], out)
     return out
@@ -221,14 +225,14 @@ def _evaluate_knot_batch(
     to the knot's probability bit for bit.
     """
     idx = _interval_index(x, z)
-    y_col = log_p[:, None]
     if method is InterpolationMethod.LOG_LINEAR:
-        y_val = _loglinear_eval(x, y_col, idx, z)
+        y_val = _loglinear_eval(x, log_p, idx, z)
     else:
-        slopes = fc_slopes(x, y_col)
-        y_val = _hermite_eval(x, y_col, slopes, idx, z)
-    # keep interior results inside their interval (guards 1-ulp excursions)
-    prob = np.exp(np.clip(y_val, log_p[idx + 1], log_p[idx]))
+        slopes = fc_slopes(x, log_p[:, None])
+        y_val = _hermite_eval(x, log_p, slopes, idx, z)
+    # keep interior results inside their interval: y_val and exp(ln p) may
+    # each stray from it by an ulp
+    prob = np.clip(np.exp(y_val), p[idx + 1], p[idx])
 
     at_knot = x[idx, np.arange(z.shape[0])] == z
     prob[at_knot] = p[idx[at_knot]]

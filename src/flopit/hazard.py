@@ -67,8 +67,11 @@ class HazardStack:
                 f"at most 32 return periods are supported, got {len(self.layers)}"
             )
         periods = [lyr.return_period_years for lyr in self.layers]
-        if any(b <= a for a, b in zip(periods, periods[1:])):
-            raise StackError(f"layers must be strictly increasing in T, got {periods}")
+        for a, b in zip(periods, periods[1:]):
+            if b == a:
+                raise StackError(f"duplicate return period T={a:g}")
+            if b < a:
+                raise StackError(f"layers must be strictly increasing in T, got {periods}")
         for lyr in self.layers:
             if not grids_aligned(self.dem.header, lyr.grid.header):
                 raise AlignmentError(
@@ -129,16 +132,10 @@ def build_wse(dem: Raster, layer: ReturnPeriodLayer) -> Raster:
 def validate_stack(dem: Raster, layers: list[ReturnPeriodLayer]) -> HazardStack:
     """Sort, validate and convert layers into a HazardStack.
 
-    Raises StackError for duplicate return periods and, through
-    :class:`HazardStack`, for fewer than two or more than 32 layers;
-    AlignmentError naming the layer whose grid does not match the DEM.
+    Raises AlignmentError naming the layer whose grid does not match the
+    DEM and, through :class:`HazardStack`, StackError for duplicate return
+    periods or fewer than two or more than 32 layers.
     """
-    seen: set[float] = set()
-    for lyr in layers:
-        t = lyr.return_period_years
-        if t in seen:
-            raise StackError(f"duplicate return period T={t:g}")
-        seen.add(t)
     ordered = sorted(layers, key=lambda lyr: lyr.return_period_years)
     converted = tuple(
         ReturnPeriodLayer(lyr.return_period_years, LayerKind.WSE, build_wse(dem, lyr))

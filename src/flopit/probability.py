@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Clamped, InterpolationMethod, _evaluate_knot_batch
+from .curves import MIN_KNOT_GAP, Clamped, InterpolationMethod, _evaluate_knot_batch
 from .hazard import HazardStack
 from .idw import IdwParams, fill_stack
 from .raster import DEFAULT_NODATA, GridHeader, Raster, locked
@@ -78,80 +78,6 @@ def _output_header(hdr: GridHeader) -> GridHeader:
     return dataclasses.replace(hdr, nodata_value=DEFAULT_NODATA)
 
 
-class _Evaluator:
-    """Shared state and output grids for banded evaluation of one map."""
-
-    def __init__(self, stack: HazardStack, method: InterpolationMethod, nodata: float):
-        self.dem_vals = stack.dem.values
-        self.dem_mask = stack.dem.data_mask
-        self.wse_vals = [lyr.grid.values for lyr in stack.layers]
-        self.wse_masks = [lyr.grid.data_mask for lyr in stack.layers]
-        self.p_arr = np.array(stack.probabilities)
-        self.log_p = np.log(self.p_arr)
-        self.method = method
-        shape = stack.dem.header.shape
-        self.prob = np.full(shape, nodata)
-        self.flags = np.full(shape, nodata)
-
-    def run_band(self, rows: slice) -> np.ndarray:
-        """Evaluate one horizontal band; returns per-layer drop counts.
-
-        Bands write disjoint slices of the shared outputs, so any number
-        of bands may run concurrently.
-        """
-        k_layers = len(self.wse_vals)
-        dem = self.dem_vals[rows]
-        shape = dem.shape
-        drops = np.zeros(k_layers, dtype=np.int64)
-
-        # monotonicity repair: walking from the most frequent flood upward,
-        # drop any surface not strictly above the last retained one
-        last = np.full(shape, -np.inf)
-        retained = np.empty((k_layers,) + shape, dtype=bool)
-        for k in range(k_layers):
-            mask_k = self.wse_masks[k][rows]
-            vals_k = self.wse_vals[k][rows]
-            keep = mask_k & (vals_k > last)
-            retained[k] = keep
-            drops[k] = np.count_nonzero(mask_k & ~keep)
-            last = np.where(keep, vals_k, last)
-
-        counts = retained.sum(axis=0)
-        valid = self.dem_mask[rows] & self.wse_masks[-1][rows] & (counts >= 2)
-        if not valid.any():
-            return drops
-
-        flat = np.flatnonzero(valid)
-        z = dem.reshape(-1)[flat]
-        pattern = np.zeros(flat.shape[0], dtype=np.uint32)
-        for k in range(k_layers):
-            pattern |= retained[k].reshape(-1)[flat].astype(np.uint32) << k
-
-        # views of this band's rows in the output grids
-        prob = self.prob[rows].reshape(-1)
-        flags = self.flags[rows].reshape(-1)
-        wse = [v[rows].reshape(-1) for v in self.wse_vals]
-        for pat in np.unique(pattern):
-            sel = pattern == pat
-            cells = flat[sel]
-            z_pat = z[sel]
-            bits = [k for k in range(k_layers) if pat >> k & 1]
-            high = z_pat < wse[bits[0]][cells]
-            low = z_pat > wse[bits[-1]][cells]
-            prob[cells[high]] = self.p_arr[bits[0]]
-            flags[cells[high]] = CLAMP_HIGH
-            prob[cells[low]] = self.p_arr[bits[-1]]
-            flags[cells[low]] = CLAMP_LOW
-            inner = ~(high | low)
-            cells = cells[inner]
-            x = np.stack([wse[k][cells] for k in bits])
-            prob[cells] = _evaluate_knot_batch(
-                x, self.log_p[bits], self.p_arr[bits], z_pat[inner], self.method
-            )
-            flags[cells] = CLAMP_INTERIOR
-        return drops
-
-
 def interpolate_map(
     stack: HazardStack,
     params: IdwParams | None = None,
@@ -170,13 +96,61 @@ def interpolate_map(
         stack = fill_stack(stack, params)
     out_hdr = _output_header(stack.dem.header)
     nodata = out_hdr.nodata_value
+    dem = stack.dem
+    grids = [lyr.grid for lyr in stack.layers]
+    p_arr = np.array(stack.probabilities)
+    log_p = np.log(p_arr)
+    prob = np.full(out_hdr.shape, nodata)
+    flags = np.full(out_hdr.shape, nodata)
 
-    ev = _Evaluator(stack, method, nodata)
+    def run_band(rows: slice) -> np.ndarray:
+        """Evaluate one row band into its disjoint slice of the outputs;
+        returns the per-layer drop counts."""
+        z = dem.values[rows].reshape(-1)
+        wse = [grid.values[rows].reshape(-1) for grid in grids]
+        drops = np.zeros(len(grids), dtype=np.int64)
+        count = np.zeros(z.shape, dtype=np.int64)
+        pattern = np.zeros(z.shape, dtype=np.uint32)
+        # monotonicity repair: walking from the most frequent flood upward,
+        # drop any surface not more than MIN_KNOT_GAP above the last kept one
+        last = np.full(z.shape, -np.inf)
+        for k, (grid, vals) in enumerate(zip(grids, wse)):
+            has = vals != grid.nodata
+            keep = has & (vals > last + MIN_KNOT_GAP)
+            drops[k] = np.count_nonzero(has & ~keep)
+            count += keep
+            pattern |= keep.astype(np.uint32) << k
+            last = np.where(keep, vals, last)
+        # ``has`` is now the rarest layer's extent
+        cells = np.flatnonzero((z != dem.nodata) & has & (count >= 2))
+        z, pattern = z[cells], pattern[cells]
+
+        band_prob = prob[rows].reshape(-1)
+        band_flags = flags[rows].reshape(-1)
+        for pat in np.unique(pattern):
+            sel = pattern == pat
+            at, z_pat = cells[sel], z[sel]
+            bits = [k for k in range(len(grids)) if pat >> k & 1]
+            high = z_pat < wse[bits[0]][at]
+            low = z_pat > wse[bits[-1]][at]
+            band_prob[at[high]] = p_arr[bits[0]]
+            band_flags[at[high]] = CLAMP_HIGH
+            band_prob[at[low]] = p_arr[bits[-1]]
+            band_flags[at[low]] = CLAMP_LOW
+            inner = ~(high | low)
+            at = at[inner]
+            x = np.stack([wse[k][at] for k in bits])
+            band_prob[at] = _evaluate_knot_batch(
+                x, log_p[bits], p_arr[bits], z_pat[inner], method
+            )
+            band_flags[at] = CLAMP_INTERIOR
+        return drops
+
     nrows, ncols = out_hdr.shape
     step = max(1, _BAND_CELLS // ncols)
     bands = [slice(r, min(r + step, nrows)) for r in range(0, nrows, step)]
     with ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1) as pool:
-        drop_lists = list(pool.map(ev.run_band, bands))
+        drop_lists = list(pool.map(run_band, bands))
     for k, n_drop in enumerate(np.sum(drop_lists, axis=0)):
         if n_drop:
             logger.info(
@@ -185,11 +159,11 @@ def interpolate_map(
             )
 
     rp = np.full(out_hdr.shape, nodata)
-    np.divide(1.0, ev.prob, out=rp, where=ev.prob != nodata)
+    np.divide(1.0, prob, out=rp, where=prob != nodata)
     return ProbabilityMap(
-        probability=Raster(out_hdr, locked(ev.prob)),
+        probability=Raster(out_hdr, locked(prob)),
         return_period=Raster(out_hdr, locked(rp)),
-        clamp_flags=Raster(out_hdr, locked(ev.flags)),
+        clamp_flags=Raster(out_hdr, locked(flags)),
     )
 
 

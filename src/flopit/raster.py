@@ -112,14 +112,13 @@ def locked(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def grids_aligned(a: GridHeader, b: GridHeader, tol: float | None = None) -> bool:
+def grids_aligned(a: GridHeader, b: GridHeader) -> bool:
     """True if two headers describe the same cells.
 
     Dimensions must match exactly; origin and cellsize may differ by up to
-    ``tol`` map units (default 1e-6 of a's cellsize).
+    1e-6 of a's cellsize.
     """
-    if tol is None:
-        tol = 1e-6 * a.cellsize
+    tol = 1e-6 * a.cellsize
     return (
         a.ncols == b.ncols
         and a.nrows == b.nrows

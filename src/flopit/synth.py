@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import InterpolationMethod
-from .hazard import LayerKind, ReturnPeriodLayer
+from .hazard import MAX_ABS_ELEVATION, LayerKind, ReturnPeriodLayer
 from .raster import DEFAULT_NODATA, GridHeader, Raster, locked, write_ascii_grid
 
 # noise amplitude of the noisy ramp, in multiples of the row-to-row relief
@@ -63,12 +63,22 @@ class FixtureSpec:
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
             raise ValueError("fixture must be at least 1x1")
-        if not self.slope > 0:
-            raise ValueError("slope must be positive")
+        if not 0 < self.slope < math.inf:
+            raise ValueError(f"slope must be positive and finite, got {self.slope}")
+        # bounds |elevation| on every shape, noise included
+        relief = (max(self.ncols, self.nrows) + NOISE_CELLS) * self.slope
+        if relief > MAX_ABS_ELEVATION:
+            raise ValueError(
+                f"DEM relief up to {relief:g} is beyond ±{MAX_ABS_ELEVATION:g}"
+            )
         if len(self.wse_levels) < 2:
             raise ValueError("need at least two WSE levels")
         periods = [t for t, _ in self.wse_levels]
         levels = [w for _, w in self.wse_levels]
+        if not all(map(math.isfinite, periods + levels)):
+            raise ValueError(
+                f"return periods and WSE levels must be finite, got {self.wse_levels}"
+            )
         if any(b <= a for a, b in zip(periods, periods[1:])):
             raise ValueError(f"return periods must be strictly increasing, got {periods}")
         if any(b <= a for a, b in zip(levels, levels[1:])):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AlignmentError
+from .errors import AlignmentError, FlopitError
 from .probability import ProbabilityMap, ZoneRaster
 from .raster import Raster, grids_aligned
 
@@ -48,7 +48,9 @@ def compare_zones(
 
     Cells contribute when both the zone raster and the probability raster
     hold data there; zones with no contributing cells are omitted. Results
-    are ordered by ascending zone return period.
+    are ordered by ascending zone return period. Raises FlopitError naming
+    the first probability data cell outside (0, 1) or zone data cell not
+    above 1 year.
     """
     if isinstance(probability, ProbabilityMap):
         probability = probability.probability
@@ -56,6 +58,17 @@ def compare_zones(
         zones = zones.zones
     if not grids_aligned(probability.header, zones.header):
         raise AlignmentError("probability and zone rasters are not aligned")
+    p_all, t_all = probability.values, zones.values
+    for name, grid, ok, rule in (
+        ("probability raster", probability, (p_all > 0) & (p_all < 1), "outside (0, 1)"),
+        ("zone raster", zones, t_all > 1, "not above 1 year"),
+    ):
+        wrong = grid.data_mask & ~ok
+        if wrong.any():
+            r, c = np.argwhere(wrong)[0]
+            raise FlopitError(
+                f"{name}: value {grid.values[r, c]:g} at cell ({r}, {c}) is {rule}"
+            )
 
     both = probability.data_mask & zones.data_mask
     p = probability.values[both]

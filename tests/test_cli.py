@@ -110,6 +110,30 @@ def test_compare_no_overlap(fixture_dir, tmp_path, capsys):
     assert "no cells in any zone" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "p, zone, error",
+    [
+        (0.0, 100.0, "probability raster: value 0 at cell (0, 1) is outside (0, 1)"),
+        (-0.5, 100.0, "probability raster: value -0.5 at cell (0, 1) is outside (0, 1)"),
+        (1.5, 100.0, "probability raster: value 1.5 at cell (0, 1) is outside (0, 1)"),
+        (0.1, 1.0, "zone raster: value 1 at cell (0, 1) is not above 1 year"),
+        (0.1, -10.0, "zone raster: value -10 at cell (0, 1) is not above 1 year"),
+    ],
+)
+def test_compare_impossible_values_are_data_errors(tmp_path, capsys, p, zone, error):
+    prob_path = tmp_path / "prob.asc"
+    zones_path = tmp_path / "zones.asc"
+    write_ascii_grid(make_raster([[0.1, p]]), prob_path)
+    write_ascii_grid(make_raster([[100.0, zone]]), zones_path)
+    code = main([
+        "compare", "--prob", str(prob_path),
+        "--zones", str(zones_path), "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_compare_byte_deterministic(fixture_dir, tmp_path):
     out = tmp_path / "r"
     assert main(interpolate_args(fixture_dir, out)) == 0
@@ -146,6 +170,21 @@ def test_synth_decreasing_levels_rejected(tmp_path, capsys):
         "--level", "25:6.0", "--level", "200:4.0",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        (["--level", "10:5", "--level", "100:inf"], "must be finite"),
+        (["--level", "10:nan", "--level", "100:7"], "must be finite"),
+        (["--slope", "inf"], "slope must be positive and finite"),
+        (["--slope", "1e308", "--nrows", "10"], "DEM relief up to inf is beyond"),
+    ],
+)
+def test_synth_non_finite_or_overflowing_spec_is_data_error(tmp_path, capsys, extra, error):
+    assert main(["synth", "--out", str(tmp_path / "f"), *extra]) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
 
 
 def test_bad_layer_spec_is_usage_error(fixture_dir, tmp_path, capsys):

@@ -2,9 +2,12 @@
 
 * every cell of a probability map is exactly what the scalar path
   (``make_curve`` + ``eval_curve``) gives for that cell's pairs, flag
-  included, or nodata where the map has nothing to evaluate;
+  included, or nodata where the map has nothing to evaluate, whatever
+  each grid's nodata sentinel; the logged per-layer repair drops equal a
+  cell-by-cell count;
 * probabilities stay between the rarest and the most frequent layer's,
-  and stay finite for elevations up to the stack's ±1e150 limit;
+  and stay finite for elevations up to the stack's ±1e150 limit and for
+  knots down to the smallest float apart;
 * p never falls below the p = 1/T of the cell's flood zone, and raising
   the ground under fixed surfaces never raises p;
 * output is independent of the worker count;
@@ -18,6 +21,7 @@
 
 import contextlib
 import io
+import logging
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -26,7 +30,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
@@ -43,6 +47,7 @@ from flopit import (  # noqa: E402
     write_ascii_grid,
 )
 from flopit import probability, raster  # noqa: E402
+from flopit.curves import MIN_KNOT_GAP  # noqa: E402
 from flopit.hazard import MAX_ABS_ELEVATION  # noqa: E402
 from flopit.raster import _format_geo  # noqa: E402
 from flopit.cli import main  # noqa: E402
@@ -56,33 +61,58 @@ _level = st.one_of(
     st.integers(0, 20).map(lambda v: v / 2),
     st.floats(0.0, 10.0, allow_subnormal=False),
 )
-_cell = st.one_of(st.just(NODATA), _level)
 
 
 @st.composite
-def stacks(draw):
+def stacks(draw, levels=_level):
     shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
     periods = draw(
         st.lists(st.integers(2, 1000), min_size=2, max_size=6, unique=True).map(sorted)
     )
-    dem = make_raster(draw(hnp.arrays(np.float64, shape, elements=_cell)), NODATA)
-    layers = [
-        ReturnPeriodLayer(
-            float(t),
-            LayerKind.WSE,
-            make_raster(draw(hnp.arrays(np.float64, shape, elements=_cell)), NODATA),
-        )
-        for t in periods
-    ]
+
+    def grid():  # each grid with its own sentinel
+        nodata = draw(st.sampled_from([NODATA, -1e300]))
+        cells = st.one_of(st.just(nodata), levels)
+        return make_raster(draw(hnp.arrays(np.float64, shape, elements=cells)), nodata)
+
+    dem = grid()
+    layers = [ReturnPeriodLayer(float(t), LayerKind.WSE, grid()) for t in periods]
     return validate_stack(dem, layers)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+def _repair_drops(stack):
+    """Per layer, the cells whose surface the monotonicity repair drops,
+    walking each cell's surfaces from the most frequent flood upward."""
+    drops = [0] * len(stack.layers)
+    for r, c in np.ndindex(stack.dem.values.shape):
+        last = -np.inf
+        for k, lyr in enumerate(stack.layers):
+            if not lyr.grid.data_mask[r, c]:
+                continue
+            if lyr.grid.values[r, c] > last + MIN_KNOT_GAP:
+                last = lyr.grid.values[r, c]
+            else:
+                drops[k] += 1
+    return drops
+
+
+@settings(
+    max_examples=120, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(stacks(), st.sampled_from(list(InterpolationMethod)), st.integers(1, 20))
-def test_map_equals_per_cell_curves(stack, method, band_cells):
+def test_map_equals_per_cell_curves(caplog, stack, method, band_cells):
     # the default band holds the whole grid; a small one splits it into
     # bands of one or more rows, often not a whole number of rows per band
-    maps = [interpolate_map(stack, None, method)]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger=probability.logger.name):
+        maps = [interpolate_map(stack, None, method)]
+    logged = [rec.getMessage() for rec in caplog.records if "repair" in rec.getMessage()]
+    assert logged == [
+        f"monotonicity repair dropped layer T={t:g} at {n} cells"
+        for t, n in zip(stack.periods, _repair_drops(stack))
+        if n
+    ]
     with mock.patch.object(probability, "_BAND_CELLS", band_cells):
         maps += [interpolate_map(stack, None, method, workers=w) for w in (1, 2, 3)]
     for other in maps[1:]:
@@ -91,8 +121,10 @@ def test_map_equals_per_cell_curves(stack, method, band_cells):
                 getattr(other, name).values.tobytes()
                 == getattr(maps[0], name).values.tobytes()
             )
+    _assert_cells_equal_curves(stack, method, maps[0])
 
-    pm = maps[0]
+
+def _assert_cells_equal_curves(stack, method, pm):
     prob = pm.probability.values
     rp = pm.return_period.values
     flags = pm.clamp_flags.values
@@ -118,6 +150,22 @@ def test_map_equals_per_cell_curves(stack, method, band_cells):
             assert p_rarest <= prob[r, c] <= p_frequent
         else:
             assert prob[r, c] == rp[r, c] == flags[r, c] == nodata
+
+
+@st.composite
+def close_knot_stacks(draw):
+    # one gap per stack, log-uniform from the smallest subnormal up to 2:
+    # surfaces at multiples of half of it around 0, and at 1
+    gap = float(np.ldexp(draw(st.floats(1.0, 2.0)), draw(st.integers(-1074, 0))))
+    near_zero = st.integers(-8, 8).map(lambda k: k * gap / 2)
+    return draw(stacks(levels=st.one_of(near_zero, st.just(1.0))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(close_knot_stacks(), st.sampled_from(list(InterpolationMethod)))
+def test_close_knots_give_finite_p(stack, method):
+    # a Raster holds only finite values, so building the map checks that
+    _assert_cells_equal_curves(stack, method, interpolate_map(stack, None, method))
 
 
 @st.composite
