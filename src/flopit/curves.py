@@ -124,7 +124,9 @@ def fc_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         w1 = 2.0 * h_right + h_left
         w2 = h_right + 2.0 * h_left
         usable = (np.sign(d_left) == np.sign(d_right)) & (d_left != 0) & (d_right != 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # w1 / d_left overflows to inf for knots ~1e150 apart whose ln p
+        # differ by ~1e-9; inf in the denominator gives the flat slope 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             harmonic = (w1 + w2) / (w1 / d_left + w2 / d_right)
         slopes[1:-1] = np.where(usable, harmonic, 0.0)
         slopes[0] = _edge_slope(h[0], h[1], d[0], d[1])

@@ -11,8 +11,13 @@ is the Chebyshev box of ``radius_cells``. Neighbour selection is fully
 deterministic: candidates take the nearest ``max_neighbors`` data cells,
 with distance ties broken by (row offset, column offset) ascending. All
 reads come from the input raster, never the output under construction, so
-results are independent of cell visitation order. A cell's scan may visit
-all (2r+1)^2 - 1 cells of its box: IDW's cost grows as ``radius_cells``^2.
+results are independent of cell visitation order.
+
+A cell whose K = ``max_neighbors`` nearest offsets (or the whole box, if it
+holds fewer) all hold data costs a fixed K taps: such cells are computed
+together, K shifted slices of the grid per row band. Only the other cells
+scan further, nearest offset first, up to all (2r+1)^2 - 1 cells of their
+box, so for them IDW's cost grows as ``radius_cells``^2.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ import numpy as np
 
 from .hazard import HazardStack, ReturnPeriodLayer
 from .raster import Raster, locked
+
+# cells per row band of the fixed-stencil pass; a band holds at least one row
+_BAND_CELLS = 1 << 14
 
 
 class IdwMode(Enum):
@@ -129,6 +137,60 @@ def _accumulate(
         return np.clip(num / den, vmin, vmax), cnt
 
 
+def _stencil(
+    values: np.ndarray,
+    mask: np.ndarray,
+    cand: np.ndarray,
+    radius: int,
+    params: IdwParams,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Write the estimate of every candidate whose first K offsets all hold
+    data into ``out``, and return the mask of those cells.
+
+    K = max_neighbors, or the box's offset count if smaller. For such a
+    cell :func:`_accumulate` takes exactly these K neighbours, in this
+    order, and then retires it, so the same float operations run here on K
+    shifted slices of the padded grid, one row band at a time.
+    """
+    dr, dc, d2 = _offsets(radius)
+    k = min(params.max_neighbors, dr.size)
+    weights = (d2.astype(np.float64) ** (-0.5 * params.power))[:k]  # as _accumulate
+    taps = list(zip(weights, dr[:k] + radius, dc[:k] + radius))
+    nrows, ncols = mask.shape
+    padded_mask = np.pad(mask, radius)
+    full = cand.copy()
+    for _, a, b in taps:
+        full &= padded_mask[a:a + nrows, b:b + ncols]
+    if not full.any():
+        return full
+    # nodata reads as 0 so the cells that are not full, whose results are
+    # discarded, cannot overflow on a sentinel
+    padded = np.pad(values, radius)
+    padded[~padded_mask] = 0.0
+    step = max(1, _BAND_CELLS // ncols)
+    for r0 in range(0, nrows, step):
+        band = full[r0:r0 + step]
+        if not band.any():
+            continue
+        h = band.shape[0]
+        num, den, wv = np.zeros(band.shape), np.zeros(band.shape), np.empty(band.shape)
+        vmin, vmax = np.full(band.shape, np.inf), np.full(band.shape, -np.inf)
+        for w, a, b in taps:
+            v = padded[r0 + a:r0 + a + h, b:b + ncols]
+            np.multiply(w, v, out=wv)
+            num += wv
+            den += w
+            np.minimum(vmin, v, out=vmin)
+            np.maximum(vmax, v, out=vmax)
+        est = np.clip(num / den, vmin, vmax)
+        # nodata cells take the estimate, data cells the 0.5/0.5 blend
+        rows = slice(r0, r0 + h)
+        blend = 0.5 * values[rows] + 0.5 * est
+        np.copyto(out[rows], np.where(mask[rows], blend, est), where=band)
+    return full
+
+
 def _idw(wse: Raster, params: IdwParams, smooth: bool) -> Raster:
     """One IDW scan over the nodata cells to fill and, when smoothing,
     every data cell as well; all reads come from ``wse``. Returns ``wse``
@@ -144,15 +206,17 @@ def _idw(wse: Raster, params: IdwParams, smooth: bool) -> Raster:
         cand |= mask
     if not cand.any():
         return wse
-    rows, cols = np.nonzero(cand)
-    est, cnt = _accumulate(wse.values, mask, rows, cols, radius, params)
-    # nodata candidates have >= min_neighbors data cells in range (box counts)
-    fill = ~mask[rows, cols]
     out = wse.values.copy()
-    out[rows[fill], cols[fill]] = est[fill]
-    blend = ~fill & (cnt > 0)
-    r, c = rows[blend], cols[blend]
-    out[r, c] = 0.5 * wse.values[r, c] + 0.5 * est[blend]
+    cand &= ~_stencil(wse.values, mask, cand, radius, params, out)
+    if cand.any():
+        rows, cols = np.nonzero(cand)
+        est, cnt = _accumulate(wse.values, mask, rows, cols, radius, params)
+        # nodata candidates have >= min_neighbors data cells in range (box counts)
+        fill = ~mask[rows, cols]
+        out[rows[fill], cols[fill]] = est[fill]
+        blend = ~fill & (cnt > 0)
+        r, c = rows[blend], cols[blend]
+        out[r, c] = 0.5 * wse.values[r, c] + 0.5 * est[blend]
     return Raster(wse.header, locked(out))
 
 

@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,8 @@ NOISE_CELLS = 5.0
 _LCG_MULT = 1664525
 _LCG_ADD = 1013904223
 _LCG_MOD = 2**32
+# draws per block of lcg_uniforms, each computed from the block's start state
+_LCG_BLOCK = 1 << 12
 
 
 class FixtureShape(Enum):
@@ -85,13 +88,30 @@ class FixtureSpec:
             raise ValueError(f"WSE levels must be strictly increasing, got {levels}")
 
 
+@lru_cache(maxsize=1)
+def _lcg_jumps() -> tuple[np.ndarray, np.ndarray]:
+    """(a^k, c·(a^(k-1) + ... + a + 1)) mod 2^32 for k = 1 .. _LCG_BLOCK:
+    k steps of the LCG take a state s to a^k·s + c·(...) mod 2^32."""
+    mult = np.empty(_LCG_BLOCK, dtype=np.uint64)
+    add = np.empty(_LCG_BLOCK, dtype=np.uint64)
+    m, c = 1, 0
+    for k in range(_LCG_BLOCK):
+        m, c = m * _LCG_MULT % _LCG_MOD, (c * _LCG_MULT + _LCG_ADD) % _LCG_MOD
+        mult[k], add[k] = m, c
+    return mult, add
+
+
 def lcg_uniforms(seed: int, count: int) -> np.ndarray:
     """``count`` uniforms in [0, 1) from the fixed 32-bit LCG."""
+    mult, add = _lcg_jumps()
     out = np.empty(count)
     state = seed % _LCG_MOD
-    for i in range(count):
-        state = (_LCG_MULT * state + _LCG_ADD) % _LCG_MOD
-        out[i] = state / _LCG_MOD
+    for start in range(0, count, _LCG_BLOCK):
+        n = min(_LCG_BLOCK, count - start)
+        # a^k·s + c_k < 2^64: no wrap-around before the mask
+        states = (mult[:n] * np.uint64(state) + add[:n]) & np.uint64(_LCG_MOD - 1)
+        out[start:start + n] = states / _LCG_MOD
+        state = int(states[-1])
     return out
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flopit import GridHeader, Raster
+from flopit.idw import _accumulate, _box_counts
 
 
 def make_raster(values, nodata=-9999.0, cellsize=1.0, xll=0.0, yll=0.0):
@@ -16,6 +17,25 @@ def make_raster(values, nodata=-9999.0, cellsize=1.0, xll=0.0, yll=0.0):
         nodata_value=nodata,
     )
     return Raster(hdr, arr)
+
+
+def gather_reference(wse, params, smooth):
+    """IDW values with every candidate sent through ``idw._accumulate``,
+    none through the fixed-stencil path."""
+    radius = min(params.radius_cells, max(1, max(wse.header.shape) - 1))
+    mask = wse.data_mask
+    cand = ~mask & (_box_counts(mask, radius) >= params.min_neighbors)
+    if smooth:
+        cand |= mask
+    out = wse.values.copy()
+    rows, cols = np.nonzero(cand)
+    est, cnt = _accumulate(wse.values, mask, rows, cols, radius, params)
+    fill = ~mask[rows, cols]
+    out[rows[fill], cols[fill]] = est[fill]
+    blend = ~fill & (cnt > 0)
+    r, c = rows[blend], cols[blend]
+    out[r, c] = 0.5 * wse.values[r, c] + 0.5 * est[blend]
+    return out
 
 
 @pytest.fixture

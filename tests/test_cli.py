@@ -1,6 +1,7 @@
 """Command-line behaviour: wiring, exit codes, determinism."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,22 @@ def test_elevation_near_float_max_is_data_error(tmp_path, capsys):
     assert main(args) == 2
     assert "DEM: value -1e+308 at cell (0, 0)" in capsys.readouterr().err
     assert not (tmp_path / "x_prob.asc").exists()
+
+
+def test_overflowing_harmonic_slope_runs_without_warning(tmp_path, capsys):
+    # knots 1e150 apart with probabilities 1e-9 relative apart: w1 / d_left
+    # in the interior slope overflows to inf, which gives the slope 0
+    args = ["interpolate", "--out", str(tmp_path / "x")]
+    for name, value in [("dem", 5e149), ("1e9", -1e150), ("1000000001", 0.0),
+                        ("1000000002", 1e150)]:
+        path = tmp_path / f"{name}.asc"
+        write_ascii_grid(make_raster([[value]]), path)
+        args += ["--dem", str(path)] if name == "dem" else ["--layer", f"{name}:wse:{path}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(args) == 0
+    assert "Warning" not in capsys.readouterr().err
+    assert read_ascii_grid(tmp_path / "x_prob.asc").values[0, 0] == 0.0
 
 
 def test_cells_per_second_covers_the_whole_run(fixture_dir, tmp_path, capsys, monkeypatch):

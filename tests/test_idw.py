@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from flopit import IdwMode, IdwParams, idw_fill, idw_smooth
+from flopit import IdwMode, IdwParams, idw, idw_fill, idw_smooth
 from flopit.idw import _box_counts
 
-from conftest import make_raster
+from conftest import gather_reference, make_raster
 
 NODATA = -9999.0
 
@@ -218,3 +218,77 @@ def test_params_validation():
         with pytest.raises(ValueError, match=r"not in \(0, "):
             IdwParams(power=1.001 * limit, radius_cells=radius)
         assert np.float64(2 * radius**2) ** (-0.5 * 1.001 * limit) == 0
+
+
+def _stencil_cells(op, raster, params):
+    """``op``'s output values, and how many cells the fixed-stencil path took."""
+    taken = []
+    stencil = idw._stencil
+
+    def spy(*args):
+        full = stencil(*args)
+        taken.append(int(full.sum()))
+        return full
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(idw, "_stencil", spy)
+        return op(raster, params).values, sum(taken)
+
+
+# K = min(max_neighbors, offsets in the box); the offsets at d2 = 1, 2, 4
+# number 4 each, so K = 14 and 18 end inside the 8 offsets at d2 = 5
+_STENCIL_CASES = [
+    ((12, 9), IdwParams(radius_cells=1)),  # 8 offsets < max_neighbors 16
+    ((12, 9), IdwParams(radius_cells=3, max_neighbors=1)),
+    ((12, 9), IdwParams(radius_cells=3, max_neighbors=14)),
+    ((12, 9), IdwParams(power=1.3, radius_cells=3, max_neighbors=18)),
+    ((12, 9), IdwParams(radius_cells=2, max_neighbors=6, min_neighbors=4)),
+    ((12, 9), IdwParams(radius_cells=10)),  # the box is cut to the grid
+    ((1, 30), IdwParams(radius_cells=3, max_neighbors=4)),
+    ((30, 1), IdwParams(radius_cells=3, max_neighbors=1)),
+    ((30, 1), IdwParams(radius_cells=3, max_neighbors=3, min_neighbors=2)),
+]
+
+
+@pytest.mark.parametrize("band_cells", [None, 1, 22])  # default, 1 row, 22 = 2*9 + 4
+@pytest.mark.parametrize("shape,params", _STENCIL_CASES)
+@pytest.mark.parametrize("op", [idw_fill, idw_smooth])
+def test_stencil_equals_gather(op, shape, params, band_cells, rng, monkeypatch):
+    if band_cells is not None:
+        monkeypatch.setattr(idw, "_BAND_CELLS", band_cells)
+    taken = 0
+    for nodata_frac in (0.0, 0.05, 0.3, 0.7):
+        # mostly one value: the weighted mean can round outside the
+        # neighbours' range, where the clip is what keeps it inside
+        for common in (None, 0.1, 5.0):
+            vals = rng.uniform(-5, 20, shape)
+            if common is not None:
+                vals[rng.random(shape) < 0.9] = common
+            vals[rng.random(shape) < nodata_frac] = NODATA
+            vals[shape[0] // 2, shape[1] // 2] = NODATA  # a hole to fill
+            r = make_raster(vals)
+            got, n = _stencil_cells(op, r, params)
+            taken += n
+            expected = gather_reference(r, params, smooth=op is idw_smooth)
+            assert got.tobytes() == expected.tobytes(), (shape, params, nodata_frac)
+    dr, dc, _ = idw._offsets(min(params.radius_cells, max(shape) - 1))
+    k = min(params.max_neighbors, dr.size)
+    # the path runs wherever the K-tap stencil fits in the grid, as it does
+    # around the centre hole at nodata_frac 0
+    assert (taken > 0) == (np.ptp(dr[:k]) < shape[0] and np.ptp(dc[:k]) < shape[1])
+
+
+@pytest.mark.parametrize("band_cells", [27, 41])  # bands of 3 and 4 rows of 9
+@pytest.mark.parametrize("op", [idw_fill, idw_smooth])
+def test_stencil_nodata_on_band_edges(op, band_cells, rng, monkeypatch):
+    monkeypatch.setattr(idw, "_BAND_CELLS", band_cells)
+    step = band_cells // 9
+    at_edge = np.isin(np.arange(14) % step, [0, step - 1])[:, None]
+    params = IdwParams(radius_cells=1)
+    for _ in range(10):
+        vals = rng.uniform(0, 9, (14, 9))
+        vals[at_edge & (rng.random((14, 9)) < 0.15)] = NODATA
+        r = make_raster(vals)
+        got, taken = _stencil_cells(op, r, params)
+        assert got.tobytes() == gather_reference(r, params, op is idw_smooth).tobytes()
+        assert taken > 0

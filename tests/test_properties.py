@@ -15,6 +15,9 @@
   slopes already satisfy the monotonicity disc, so the limiter is idle;
 * a truncated or byte-mutated input grid never escapes the CLI's exit-code
   contract (0, 1, 2 or 3, no exception);
+* IDW fill and smooth give the same bytes whether a cell whose nearest
+  neighbourhood is full takes the fixed K-tap stencil or the gather, for
+  any mask, radius, neighbour counts and row band;
 * the grid writer's bytes equal ``%``-formatting each cell, for every
   ``decimals`` and wherever the row blocks end.
 """
@@ -46,13 +49,13 @@ from flopit import (  # noqa: E402
     validate_stack,
     write_ascii_grid,
 )
-from flopit import probability, raster  # noqa: E402
+from flopit import idw, probability, raster  # noqa: E402
 from flopit.curves import MIN_KNOT_GAP  # noqa: E402
 from flopit.hazard import MAX_ABS_ELEVATION  # noqa: E402
 from flopit.raster import _format_geo  # noqa: E402
 from flopit.cli import main  # noqa: E402
 
-from conftest import make_raster  # noqa: E402
+from conftest import gather_reference, make_raster  # noqa: E402
 
 NODATA = -9999.0
 
@@ -301,6 +304,38 @@ def test_elevations_up_to_the_limit_give_finite_p(stack, method):
     p = pm.probability.values[pm.probability.data_mask]
     assert np.isfinite(p).all()
     assert ((p >= stack.probabilities[-1]) & (p <= stack.probabilities[0])).all()
+
+
+# -- IDW ----------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_idw_stencil_equals_gather(data):
+    shape = (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)))
+    # mostly-data masks, so that many cells have a full neighbourhood
+    holes = data.draw(st.integers(0, 10))
+    mask = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 9))) >= holes
+    # mostly one value, where the clip keeps the weighted mean in range
+    values = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.integers(-20, 20).map(lambda v: v / 2),  # ties
+        st.floats(-1e6, 1e6, allow_subnormal=False),  # -0.0 among them
+    ), fill=st.sampled_from([0.1, 5.0, 1 / 3])))
+    nodata = data.draw(st.sampled_from([NODATA, -1e300, -1.7e308]))
+    values[~mask] = nodata
+    max_neighbors = data.draw(st.integers(1, 30))
+    params = idw.IdwParams(
+        power=data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.5])),
+        radius_cells=data.draw(st.integers(1, 6)),
+        max_neighbors=max_neighbors,
+        min_neighbors=data.draw(st.integers(1, max_neighbors)),
+    )
+    band_cells = data.draw(st.integers(1, 40))
+    r = make_raster(values, nodata)
+    with mock.patch.object(idw, "_BAND_CELLS", band_cells):
+        for op, smooth in ((idw.idw_fill, False), (idw.idw_smooth, True)):
+            expected = gather_reference(r, params, smooth)
+            assert op(r, params).values.tobytes() == expected.tobytes()
 
 
 # -- ASCII grid writer -------------------------------------------------------

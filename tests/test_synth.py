@@ -14,7 +14,7 @@ from flopit import (
     oracle_probability,
     write_fixture,
 )
-from flopit.synth import lcg_uniforms
+from flopit.synth import _LCG_BLOCK, lcg_uniforms
 
 LOGLIN = InterpolationMethod.LOG_LINEAR
 SPLINE = InterpolationMethod.MONOTONE_CUBIC
@@ -71,6 +71,23 @@ def test_lcg_sequence_frozen():
         state = (1664525 * state + 1013904223) % 2**32
         expected.append(state / 2**32)
     assert lcg_uniforms(7, 4).tolist() == expected
+
+
+def _scalar_lcg(seed, count):
+    """The generator one step at a time, as documented."""
+    state = seed % 2**32
+    out = []
+    for _ in range(count):
+        state = (1664525 * state + 1013904223) % 2**32
+        out.append(state / 2**32)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 0, -3, 2**32 - 1, 2**32, 2**40 + 7, -(2**40)])
+def test_lcg_blocks_equal_scalar_steps(seed):
+    for count in (0, 1, 5, _LCG_BLOCK - 1, _LCG_BLOCK, _LCG_BLOCK + 1,
+                  3 * _LCG_BLOCK, 3 * _LCG_BLOCK + 1, 12345):
+        assert lcg_uniforms(seed, count).tolist() == _scalar_lcg(seed, count), (seed, count)
 
 
 def test_oracle_loglinear_values():
