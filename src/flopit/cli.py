@@ -166,6 +166,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     logger.info("stack validated: %d layers, %dx%d cells",
                 len(stack.layers), dem.header.nrows, dem.header.ncols)
     filled = fill_stack(stack, idw)
+    del layers, stack  # frees the raw and unfilled grids before evaluation
     pm = interpolate_map(filled, None, _METHODS[args.method], workers=args.workers)
     zones = derive_zones(filled)
 
@@ -245,8 +246,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_compare(args.prob, args.zones, args.out)
         if args.command == "synth":
             return cmd_synth(args)
-        parser.error(f"unknown command {args.command!r}")
-        return EXIT_USAGE
     except FlopitError as exc:
         print(f"flopit: error: {exc}", file=sys.stderr)
         return EXIT_DATA

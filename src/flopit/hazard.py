@@ -73,6 +73,11 @@ class HazardStack:
             if b < a:
                 raise StackError(f"layers must be strictly increasing in T, got {periods}")
         for lyr in self.layers:
+            if lyr.kind is not LayerKind.WSE:  # validate_stack converts depths
+                raise StackError(
+                    f"layer T={lyr.return_period_years:g} is a {lyr.kind.value} "
+                    f"grid; a stack holds WSE layers only"
+                )
             if not grids_aligned(self.dem.header, lyr.grid.header):
                 raise AlignmentError(
                     f"layer T={lyr.return_period_years:g} grid is not aligned "

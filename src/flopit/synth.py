@@ -90,15 +90,10 @@ class FixtureSpec:
 
 @lru_cache(maxsize=1)
 def _lcg_jumps() -> tuple[np.ndarray, np.ndarray]:
-    """(a^k, c·(a^(k-1) + ... + a + 1)) mod 2^32 for k = 1 .. _LCG_BLOCK:
+    """(a^k, c·(a^(k-1) + ... + a + 1)) mod 2^64 for k = 1 .. _LCG_BLOCK:
     k steps of the LCG take a state s to a^k·s + c·(...) mod 2^32."""
-    mult = np.empty(_LCG_BLOCK, dtype=np.uint64)
-    add = np.empty(_LCG_BLOCK, dtype=np.uint64)
-    m, c = 1, 0
-    for k in range(_LCG_BLOCK):
-        m, c = m * _LCG_MULT % _LCG_MOD, (c * _LCG_MULT + _LCG_ADD) % _LCG_MOD
-        mult[k], add[k] = m, c
-    return mult, add
+    mult = np.cumprod(np.full(_LCG_BLOCK, _LCG_MULT, dtype=np.uint64))
+    return mult, np.uint64(_LCG_ADD) * (np.cumsum(mult) - mult + np.uint64(1))
 
 
 def lcg_uniforms(seed: int, count: int) -> np.ndarray:
@@ -108,7 +103,7 @@ def lcg_uniforms(seed: int, count: int) -> np.ndarray:
     state = seed % _LCG_MOD
     for start in range(0, count, _LCG_BLOCK):
         n = min(_LCG_BLOCK, count - start)
-        # a^k·s + c_k < 2^64: no wrap-around before the mask
+        # uint64 wraps mod 2^64, which keeps every residue mod 2^32
         states = (mult[:n] * np.uint64(state) + add[:n]) & np.uint64(_LCG_MOD - 1)
         out[start:start + n] = states / _LCG_MOD
         state = int(states[-1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flopit import GridHeader, Raster
+from flopit import GridDimensionError, GridHeader, GridParseError, Raster
 from flopit.idw import _accumulate, _box_counts
 
 
@@ -36,6 +36,35 @@ def gather_reference(wse, params, smooth):
     r, c = rows[blend], cols[blend]
     out[r, c] = 0.5 * wse.values[r, c] + 0.5 * est[blend]
     return out
+
+
+# The reader's whole-body parser before it parsed and checked in one
+# blockwise pass; kept as the reference for that pass's values and errors.
+def _parse_tokens(name: str, text: str, hdr: GridHeader) -> np.ndarray:
+    """Parse a whole body at once; raises the error a bad body deserves."""
+    tokens = text.split()
+    n_expected = hdr.ncols * hdr.nrows
+    if len(tokens) != n_expected:
+        raise GridDimensionError(
+            f"{name}: expected {n_expected} values "
+            f"({hdr.nrows} rows x {hdr.ncols} cols), found {len(tokens)}"
+        )
+    try:
+        values = np.array(tokens, dtype=np.float64)
+    except ValueError:
+        for tok in tokens:
+            try:
+                float(tok)
+            except ValueError:
+                raise GridParseError(f"{name}: cannot parse body token {tok!r}") from None
+        raise
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise GridParseError(
+            f"{name}: body contains {tokens[int(np.argmax(bad))]!r}; "
+            f"NaN/Inf are not valid cell values"
+        )
+    return values
 
 
 @pytest.fixture

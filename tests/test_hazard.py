@@ -4,6 +4,7 @@ import pytest
 
 from flopit import (
     AlignmentError,
+    HazardStack,
     LayerKind,
     ReturnPeriodLayer,
     StackError,
@@ -80,6 +81,17 @@ def test_validate_stack_converts_depths():
     )
     assert stack.layers[0].grid.values[0, 0] == 11.5
     assert stack.layers[1].grid.values[0, 0] == 13.0
+
+
+def test_stack_rejects_depth_layers():
+    # depths read as surfaces would give p = [0.1, 0.1, 0.01] here, where
+    # validate_stack, converting them first, gives [0.1, 0.1, 0.1]
+    dem = make_raster([[0.0, 1.0, 2.0]])
+    depths = [layer(10, LayerKind.DEPTH, [[1.0] * 3]),
+              layer(100, LayerKind.DEPTH, [[2.0] * 3])]
+    with pytest.raises(StackError, match=r"^layer T=10 is a depth grid"):
+        HazardStack(dem, tuple(depths))
+    assert validate_stack(dem, depths).periods == (10.0, 100.0)
 
 
 def test_validate_stack_needs_two_layers():

@@ -19,7 +19,9 @@
   neighbourhood is full takes the fixed K-tap stencil or the gather, for
   any mask, radius, neighbour counts and row band;
 * the grid writer's bytes equal ``%``-formatting each cell, for every
-  ``decimals`` and wherever the row blocks end.
+  ``decimals`` and wherever the row blocks end;
+* the grid reader's values, or its exception class and message, equal
+  those of parsing the whole body at once, wherever the blocks end.
 """
 
 import contextlib
@@ -55,7 +57,7 @@ from flopit.hazard import MAX_ABS_ELEVATION  # noqa: E402
 from flopit.raster import _format_geo  # noqa: E402
 from flopit.cli import main  # noqa: E402
 
-from conftest import gather_reference, make_raster  # noqa: E402
+from conftest import _parse_tokens, gather_reference, make_raster  # noqa: E402
 
 NODATA = -9999.0
 
@@ -393,3 +395,47 @@ def test_writer_bytes_equal_percent_formatting(tmp_path_factory, data):
     with mock.patch.object(raster, "_BLOCK_CELLS", block_cells):
         write_ascii_grid(r, path, decimals)
     assert path.read_bytes() == _reference_grid_text(r, decimals)
+
+
+# -- ASCII grid reader -------------------------------------------------------
+
+_BODY_TOKENS = ["nan", "inf", "1e999", "x", "0x10", "1_0", "-0.0"]
+_BODY_SEPARATORS = [" ", "\n", "\r\n", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+def _outcome(parse):
+    try:
+        return parse().tobytes()
+    except (raster.GridDimensionError, raster.GridParseError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_reader_equals_whole_body_parse(tmp_path_factory, data):
+    hdr = raster.GridHeader(
+        ncols=data.draw(st.integers(1, 4)), nrows=data.draw(st.integers(1, 4)),
+        xllcorner=0.0, yllcorner=0.0, cellsize=1.0,
+    )
+    n_tokens = hdr.ncols * hdr.nrows + data.draw(st.sampled_from([-1, 0, 0, 1]))
+    plain = st.one_of(
+        st.integers(-10**6, 10**6).map(str),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    )
+    tokens = data.draw(st.lists(
+        st.one_of(plain, plain, plain, st.sampled_from(_BODY_TOKENS)),
+        min_size=n_tokens, max_size=n_tokens,
+    ))
+    seps = data.draw(st.lists(
+        st.sampled_from(_BODY_SEPARATORS), min_size=n_tokens + 1, max_size=n_tokens + 1,
+    ))
+    body = seps[0] * data.draw(st.booleans()) + "".join(map(str.__add__, tokens, seps[1:]))
+    path = tmp_path_factory.mktemp("r") / "g.asc"
+    path.write_text(
+        f"NCOLS {hdr.ncols}\nNROWS {hdr.nrows}\nXLLCORNER 0\nYLLCORNER 0\n"
+        f"CELLSIZE 1\nNODATA_VALUE -9999\n{body}",
+        encoding="ascii",
+    )
+    with mock.patch.object(raster, "_BLOCK_CELLS", data.draw(st.integers(1, 12))):
+        got = _outcome(lambda: raster.read_ascii_grid(path).values)
+    assert got == _outcome(lambda: _parse_tokens("g.asc", body, hdr))

@@ -1,5 +1,6 @@
 """ASCII grid parsing, writing and round-trip behaviour."""
 
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -325,6 +326,39 @@ def test_first_bad_token_reported_across_blocks(tmp_path, block_cells, token, er
         with pytest.raises(GridParseError) as exc:
             read_ascii_grid(f)
     assert str(exc.value).startswith(f"g.asc: {error}")
+
+
+@pytest.mark.parametrize("fault", ["nan", "x", "extra", "1x1"])
+def test_faulty_body_read_in_no_more_memory_than_a_good_one(tmp_path, fault):
+    # blocks of 1024 cells bound a good read; a faulty one must not go
+    # past them by parsing or splitting its body whole
+    vals = np.random.default_rng(3).uniform(-100, 100, (300, 300))
+    good = tmp_path / "good.asc"
+    write_ascii_grid(make_raster(vals), good)
+    text = good.read_bytes()
+    last = text.rstrip().rfind(b" ") + 1
+    faulty = {
+        "nan": text[:last] + b"nan\n",
+        "x": text[:last] + b"x\n",
+        "extra": text + b"1\n",
+        "1x1": text.replace(b"NCOLS 300\nNROWS 300", b"NCOLS 1\nNROWS 1", 1),
+    }
+    bad = tmp_path / "bad.asc"
+    bad.write_bytes(faulty[fault])
+
+    def peak(path):
+        tracemalloc.start()
+        try:
+            read_ascii_grid(path)
+        except (GridDimensionError, GridParseError):
+            pass
+        finally:
+            size = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return size
+
+    with mock.patch.object(raster, "_BLOCK_CELLS", 1024):
+        assert peak(bad) <= 1.2 * peak(good)
 
 
 def test_missing_file():
