@@ -249,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     except FlopitError as exc:
         print(f"flopit: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"flopit: error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except OSError as exc:
         print(f"flopit: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -16,8 +16,11 @@ results are independent of cell visitation order.
 A cell whose K = ``max_neighbors`` nearest offsets (or the whole box, if it
 holds fewer) all hold data costs a fixed K taps: such cells are computed
 together, K shifted slices of the grid per row band. Only the other cells
-scan further, nearest offset first, up to all (2r+1)^2 - 1 cells of their
-box, so for them IDW's cost grows as ``radius_cells``^2.
+are gathered, nearest offset first, from up to all (2r+1)^2 - 1 cells of
+their box, so for them IDW's cost grows as ``radius_cells``^2. Both paths
+read one padded copy of the grid and of its mask, with one set of weights,
+and one rule then gives each nodata cell its estimate and each data cell
+the 0.5/0.5 blend.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .hazard import HazardStack, ReturnPeriodLayer
 from .raster import Raster, locked
 
-# cells per row band of the fixed-stencil pass; a band holds at least one row
+# cells per row band of the stencil and blend pass; a band holds at least one row
 _BAND_CELLS = 1 << 14
 
 
@@ -79,22 +82,23 @@ def _offsets(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dr[order], dc[order], d2[order]
 
 
-def _box_counts(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Count of True cells in the clipped (2r+1)^2 box around each cell."""
+def _box_counts(padded: np.ndarray, radius: int) -> np.ndarray:
+    """Count of True cells in the (2r+1)^2 box around each cell of a mask
+    that ``padded`` pads with ``radius`` False cells on each side."""
     w = 2 * radius + 1
-    padded = np.pad(mask, radius)
     summed = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64)
     summed[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
     return summed[w:, w:] - summed[:-w, w:] - summed[w:, :-w] + summed[:-w, :-w]
 
 
 def _accumulate(
-    values: np.ndarray,
-    mask: np.ndarray,
+    padded: np.ndarray,
+    padded_mask: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
     radius: int,
-    params: IdwParams,
+    weights: np.ndarray,
+    max_neighbors: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """IDW estimate over the nearest data cells of each candidate.
 
@@ -103,22 +107,20 @@ def _accumulate(
     meaningful where the count is positive. Offsets are visited in
     ascending distance order, so once a candidate has max_neighbors
     contributions no nearer neighbour can exist and it drops out of the
-    scan. ``radius``, not ``params.radius_cells``, bounds the box; padding
-    by it makes each offset one flat step that stays in the arrays.
+    scan. The grids are padded by ``radius``, which makes each offset one
+    flat step that stays in the arrays.
     """
-    width = values.shape[1] + 2 * radius
-    flat_values = np.pad(values, radius).ravel()
-    flat_mask = np.pad(mask, radius).ravel()
+    width = padded.shape[1]
+    flat_values, flat_mask = padded.ravel(), padded_mask.ravel()
     base = (rows + radius) * width + cols + radius
     m = base.shape[0]
     num, den = np.zeros(m), np.zeros(m)
     cnt = np.zeros(m, dtype=np.int64)
     vmin, vmax = np.full(m, np.inf), np.full(m, -np.inf)
 
-    dr_all, dc_all, d2_all = _offsets(radius)
-    weights = d2_all.astype(np.float64) ** (-0.5 * params.power)
+    dr, dc, _ = _offsets(radius)
     active = np.arange(m)
-    for step, w in zip(dr_all * width + dc_all, weights):
+    for step, w in zip(dr * width + dc, weights):
         nb = base[active] + step
         hit = flat_mask[nb]
         sel = active[hit]
@@ -130,65 +132,30 @@ def _accumulate(
             cnt[sel] += 1
             vmin[sel] = np.minimum(vmin[sel], v)
             vmax[sel] = np.maximum(vmax[sel], v)
-            active = active[cnt[active] < params.max_neighbors]
+            active = active[cnt[active] < max_neighbors]
             if active.size == 0:
                 break
     with np.errstate(invalid="ignore"):  # 0/0 where no neighbour was found
         return np.clip(num / den, vmin, vmax), cnt
 
 
-def _stencil(
-    values: np.ndarray,
-    mask: np.ndarray,
-    cand: np.ndarray,
-    radius: int,
-    params: IdwParams,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Write the estimate of every candidate whose first K offsets all hold
-    data into ``out``, and return the mask of those cells.
-
-    K = max_neighbors, or the box's offset count if smaller. For such a
-    cell :func:`_accumulate` takes exactly these K neighbours, in this
-    order, and then retires it, so the same float operations run here on K
-    shifted slices of the padded grid, one row band at a time.
-    """
-    dr, dc, d2 = _offsets(radius)
-    k = min(params.max_neighbors, dr.size)
-    weights = (d2.astype(np.float64) ** (-0.5 * params.power))[:k]  # as _accumulate
-    taps = list(zip(weights, dr[:k] + radius, dc[:k] + radius))
-    nrows, ncols = mask.shape
-    padded_mask = np.pad(mask, radius)
-    full = cand.copy()
-    for _, a, b in taps:
-        full &= padded_mask[a:a + nrows, b:b + ncols]
-    if not full.any():
-        return full
-    # nodata reads as 0 so the cells that are not full, whose results are
-    # discarded, cannot overflow on a sentinel
-    padded = np.pad(values, radius)
-    padded[~padded_mask] = 0.0
-    step = max(1, _BAND_CELLS // ncols)
-    for r0 in range(0, nrows, step):
-        band = full[r0:r0 + step]
-        if not band.any():
-            continue
-        h = band.shape[0]
-        num, den, wv = np.zeros(band.shape), np.zeros(band.shape), np.empty(band.shape)
-        vmin, vmax = np.full(band.shape, np.inf), np.full(band.shape, -np.inf)
-        for w, a, b in taps:
-            v = padded[r0 + a:r0 + a + h, b:b + ncols]
-            np.multiply(w, v, out=wv)
-            num += wv
-            den += w
-            np.minimum(vmin, v, out=vmin)
-            np.maximum(vmax, v, out=vmax)
-        est = np.clip(num / den, vmin, vmax)
-        # nodata cells take the estimate, data cells the 0.5/0.5 blend
-        rows = slice(r0, r0 + h)
-        blend = 0.5 * values[rows] + 0.5 * est
-        np.copyto(out[rows], np.where(mask[rows], blend, est), where=band)
-    return full
+def _stencil(padded: np.ndarray, taps: list, full: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the estimate of each ``full`` cell of a row band,
+    one whose K nearest offsets, the ``taps`` (weight, row and column in
+    ``padded``), all hold data. :func:`_accumulate` takes exactly these K
+    neighbours of such a cell, in this order, and then retires it, so the
+    same float operations run here on K shifted slices of ``padded``."""
+    h, ncols = full.shape
+    num, den, wv = np.zeros(full.shape), np.zeros(full.shape), np.empty(full.shape)
+    vmin, vmax = np.full(full.shape, np.inf), np.full(full.shape, -np.inf)
+    for w, a, b in taps:
+        v = padded[a:a + h, b:b + ncols]
+        np.multiply(w, v, out=wv)
+        num += wv
+        den += w
+        np.minimum(vmin, v, out=vmin)
+        np.maximum(vmax, v, out=vmax)
+    np.copyto(out, np.clip(num / den, vmin, vmax), where=full)
 
 
 def _idw(wse: Raster, params: IdwParams, smooth: bool) -> Raster:
@@ -198,25 +165,46 @@ def _idw(wse: Raster, params: IdwParams, smooth: bool) -> Raster:
     # no offset beyond the grid's extent can land in it, so a wider box
     # changes nothing but the cost of scanning it
     radius = min(params.radius_cells, max(1, max(wse.header.shape) - 1))
-    mask = wse.data_mask
+    values, mask = wse.values, wse.data_mask
+    padded_mask = np.pad(mask, radius)
     cand = ~mask
     if cand.any():
-        cand &= _box_counts(mask, radius) >= params.min_neighbors
+        cand &= _box_counts(padded_mask, radius) >= params.min_neighbors
     if smooth:
         cand |= mask
     if not cand.any():
         return wse
-    out = wse.values.copy()
-    cand &= ~_stencil(wse.values, mask, cand, radius, params, out)
-    if cand.any():
-        rows, cols = np.nonzero(cand)
-        est, cnt = _accumulate(wse.values, mask, rows, cols, radius, params)
-        # nodata candidates have >= min_neighbors data cells in range (box counts)
-        fill = ~mask[rows, cols]
-        out[rows[fill], cols[fill]] = est[fill]
-        blend = ~fill & (cnt > 0)
-        r, c = rows[blend], cols[blend]
-        out[r, c] = 0.5 * wse.values[r, c] + 0.5 * est[blend]
+    # nodata reads as 0 so the stencil's cells that are not full, whose
+    # results are discarded, cannot overflow on a sentinel
+    padded = np.pad(values, radius)
+    padded[~padded_mask] = 0.0
+    dr, dc, d2 = _offsets(radius)
+    weights = d2.astype(np.float64) ** (-0.5 * params.power)
+    k = min(params.max_neighbors, dr.size)
+    taps = list(zip(weights[:k], dr[:k] + radius, dc[:k] + radius))
+    nrows, ncols = mask.shape
+    full = cand.copy()
+    for _, a, b in taps:
+        full &= padded_mask[a:a + nrows, b:b + ncols]
+    out = values.copy()
+    rows, cols = np.nonzero(cand & ~full)
+    if rows.size:
+        est, cnt = _accumulate(
+            padded, padded_mask, rows, cols, radius, weights, params.max_neighbors
+        )
+        hit = cnt > 0  # only data cells miss: a nodata candidate has data in its box
+        out[rows[hit], cols[hit]] = est[hit]
+        cand[rows[~hit], cols[~hit]] = False
+    # cand now marks the cells given an estimate: nodata cells take it, data
+    # cells the 0.5/0.5 blend
+    step = max(1, _BAND_CELLS // ncols)
+    for r0 in range(0, nrows, step):
+        band = slice(r0, r0 + step)
+        if full[band].any():
+            _stencil(padded[r0:r0 + step + 2 * radius], taps, full[band], out[band])
+        blend = cand[band] & mask[band]
+        if blend.any():
+            np.copyto(out[band], 0.5 * values[band] + 0.5 * out[band], where=blend)
     return Raster(wse.header, locked(out))
 
 

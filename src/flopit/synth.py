@@ -120,12 +120,13 @@ def generate_fixture(spec: FixtureSpec) -> tuple[Raster, list[ReturnPeriodLayer]
         cellsize=1.0,
         nodata_value=DEFAULT_NODATA,
     )
+    dem = np.empty(hdr.shape)  # first, so a grid too large fails before any work
     rows = np.arange(spec.nrows, dtype=np.float64)[:, None]
     cols = np.arange(spec.ncols, dtype=np.float64)[None, :]
     if spec.shape is FixtureShape.VALLEY:
-        dem = np.broadcast_to(np.abs(cols - spec.ncols / 2.0) * spec.slope, hdr.shape).copy()
+        dem[...] = np.abs(cols - spec.ncols / 2.0) * spec.slope
     else:
-        dem = np.broadcast_to(rows * spec.slope, hdr.shape).copy()
+        dem[...] = rows * spec.slope
         if spec.shape is FixtureShape.NOISY_RAMP:
             noise = lcg_uniforms(spec.seed, spec.nrows * spec.ncols)
             dem += (2.0 * noise.reshape(hdr.shape) - 1.0) * NOISE_CELLS * spec.slope
@@ -142,9 +143,9 @@ def generate_fixture(spec: FixtureSpec) -> tuple[Raster, list[ReturnPeriodLayer]
 
 def write_fixture(spec: FixtureSpec, outdir: str | Path, decimals: int = 6) -> dict:
     """Write fixture rasters plus a manifest; returns the manifest dict."""
+    dem, layers = generate_fixture(spec)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    dem, layers = generate_fixture(spec)
     write_ascii_grid(dem, outdir / "dem.asc", decimals)
     manifest = {
         "shape": spec.shape.value,

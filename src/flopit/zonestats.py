@@ -76,8 +76,6 @@ def compare_zones(
     stats = []
     for zone_t in np.unique(zone_of):
         p_zone = p[zone_of == zone_t]
-        if p_zone.size == 0:
-            continue
         t_zone = 1.0 / p_zone
         q1, med, q3 = np.percentile(t_zone, [25, 50, 75], method="linear")
         stats.append(

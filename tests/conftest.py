@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flopit import GridDimensionError, GridHeader, GridParseError, Raster
-from flopit.idw import _accumulate, _box_counts
+from flopit.idw import IdwParams, _offsets
 
 
 def make_raster(values, nodata=-9999.0, cellsize=1.0, xll=0.0, yll=0.0):
@@ -19,8 +19,68 @@ def make_raster(values, nodata=-9999.0, cellsize=1.0, xll=0.0, yll=0.0):
     return Raster(hdr, arr)
 
 
+# The IDW gather and box counts as they were before the two IDW estimators
+# shared their padded inputs; kept as the reference for both estimators.
+def _box_counts(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Count of True cells in the clipped (2r+1)^2 box around each cell."""
+    w = 2 * radius + 1
+    padded = np.pad(mask, radius)
+    summed = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64)
+    summed[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
+    return summed[w:, w:] - summed[:-w, w:] - summed[w:, :-w] + summed[:-w, :-w]
+
+
+def _accumulate(
+    values: np.ndarray,
+    mask: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    radius: int,
+    params: IdwParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """IDW estimate over the nearest data cells of each candidate.
+
+    Returns (estimate, neighbour count) per candidate; the estimate is the
+    weighted mean clipped into the neighbours' value range, and is only
+    meaningful where the count is positive. Offsets are visited in
+    ascending distance order, so once a candidate has max_neighbors
+    contributions no nearer neighbour can exist and it drops out of the
+    scan. ``radius``, not ``params.radius_cells``, bounds the box; padding
+    by it makes each offset one flat step that stays in the arrays.
+    """
+    width = values.shape[1] + 2 * radius
+    flat_values = np.pad(values, radius).ravel()
+    flat_mask = np.pad(mask, radius).ravel()
+    base = (rows + radius) * width + cols + radius
+    m = base.shape[0]
+    num, den = np.zeros(m), np.zeros(m)
+    cnt = np.zeros(m, dtype=np.int64)
+    vmin, vmax = np.full(m, np.inf), np.full(m, -np.inf)
+
+    dr_all, dc_all, d2_all = _offsets(radius)
+    weights = d2_all.astype(np.float64) ** (-0.5 * params.power)
+    active = np.arange(m)
+    for step, w in zip(dr_all * width + dc_all, weights):
+        nb = base[active] + step
+        hit = flat_mask[nb]
+        sel = active[hit]
+        if sel.size:
+            # sel holds unique indices (one neighbour position per candidate)
+            v = flat_values[nb[hit]]
+            num[sel] += w * v
+            den[sel] += w
+            cnt[sel] += 1
+            vmin[sel] = np.minimum(vmin[sel], v)
+            vmax[sel] = np.maximum(vmax[sel], v)
+            active = active[cnt[active] < params.max_neighbors]
+            if active.size == 0:
+                break
+    with np.errstate(invalid="ignore"):  # 0/0 where no neighbour was found
+        return np.clip(num / den, vmin, vmax), cnt
+
+
 def gather_reference(wse, params, smooth):
-    """IDW values with every candidate sent through ``idw._accumulate``,
+    """IDW values with every candidate sent through the reference gather,
     none through the fixed-stencil path."""
     radius = min(params.radius_cells, max(1, max(wse.header.shape) - 1))
     mask = wse.data_mask

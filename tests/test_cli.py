@@ -188,6 +188,16 @@ def test_synth_non_finite_or_overflowing_spec_is_data_error(tmp_path, capsys, ex
     assert not (tmp_path / "f").exists()
 
 
+def test_out_of_memory_is_data_error(tmp_path, capsys):
+    # 10^16 cells: the first allocation, the whole DEM, fails at once
+    big = ["--ncols", "100000000", "--nrows", "100000000"]
+    assert main(["synth", "--out", str(tmp_path / "f"), *big]) == 2
+    err = capsys.readouterr().err
+    assert "flopit: error: not enough memory: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "f").exists()
+
+
 def test_bad_layer_spec_is_usage_error(fixture_dir, tmp_path, capsys):
     code = main([
         "interpolate",
