@@ -9,15 +9,23 @@ from __future__ import annotations
 
 import argparse
 import logging
+import mmap
+import multiprocessing
+import os
+import resource
 import sys
 import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
+import numpy as np
 
 from .curves import InterpolationMethod
 from .errors import FlopitError
 from .hazard import LayerKind, ReturnPeriodLayer, validate_stack
 from .idw import IdwMode, IdwParams, fill_stack
 from .probability import derive_zones, interpolate_map
-from .raster import grids_aligned, read_ascii_grid, write_ascii_grid
+from .raster import Raster, grids_aligned, locked, read_ascii_grid, write_ascii_grid
 from .synth import FixtureShape, FixtureSpec, write_fixture
 from .zonestats import compare_zones, write_stats_csv
 
@@ -111,7 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--idw-min-neighbors", type=int, default=1)
     p_int.add_argument("--idw-mode", default="fill", choices=["fill", "smooth"])
     p_int.add_argument(
-        "--workers", type=_non_negative_int, default=1, help="threads; 0 = one per CPU"
+        "--workers",
+        type=_non_negative_int,
+        default=1,
+        help="processes that read and write the grids and threads that evaluate "
+        "them; 0 = one per CPU; output bytes never depend on it",
     )
     p_int.add_argument(
         "--decimals", type=_non_negative_int, default=6, help="output decimal places"
@@ -142,6 +154,81 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the task of a forked worker process, adopted as the worker starts
+_worker_task = None
+
+
+def _adopt(task) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _run_task(i: int):
+    return _worker_task(i)
+
+
+def _processes(workers: int, n_tasks: int) -> int:
+    """Processes for ``n_tasks`` tasks at ``--workers`` (0 = one per CPU),
+    at most one per task and one per CPU."""
+    cpus = os.cpu_count() or 1
+    return min(workers or cpus, n_tasks, cpus)
+
+
+def _forked(task, n_tasks: int, procs: int) -> list[Future]:
+    """Run task(0), ..., task(n_tasks - 1) on ``procs`` processes forked
+    from this one; returns their futures, all done, in task order.
+
+    The workers inherit ``task`` and all it reads, so only the task index
+    and the result are pickled. A result raises what its task raised, or
+    BrokenProcessPool if a worker died. Fork is safe at both calls: this
+    process then runs no thread but OpenBLAS's idle ones.
+    """
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(procs, fork, initializer=_adopt, initargs=(task,)) as pool:
+        return [pool.submit(_run_task, i) for i in range(n_tasks)]
+
+
+def _log_pool(done: str, procs: int, t0: float) -> None:
+    peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB on Linux
+    logger.info(
+        "%s on %d processes in %.3f s; largest worker peak RSS %.1f MiB",
+        done, procs, time.perf_counter() - t0, peak_kib / 1024,
+    )
+
+
+def _shared_map(path: str) -> mmap.mmap | None:
+    """An anonymous shared map that can hold the values of the grid at
+    ``path``: a separator follows every token but the last, so a file of
+    b bytes holds at most (b + 1) // 2 cells. None for a missing or empty
+    file, whose read fails, or a map too large to make."""
+    try:
+        return mmap.mmap(-1, 8 * ((os.path.getsize(path) + 1) // 2))
+    except OSError:
+        return None
+
+
+def _read_forked(paths: list[str], procs: int):
+    """The grids at ``paths``, read on ``procs`` forked processes, as an
+    iterator in path order; it raises a grid's read error when it reaches
+    that grid. A worker copies the values into the grid's shared map, made
+    before the fork, so they are not pickled."""
+    maps = [_shared_map(path) for path in paths]
+
+    def read(i: int):
+        grid = read_ascii_grid(paths[i])
+        if maps[i] is None or grid.values.nbytes > len(maps[i]):  # grew since the map
+            return grid.header, grid.values
+        np.frombuffer(maps[i], count=grid.values.size)[:] = grid.values.ravel()
+        return grid.header, None
+
+    for future, shared in zip(_forked(read, len(paths), procs), maps):
+        header, values = future.result()
+        if values is None:
+            values = np.frombuffer(shared, count=header.nrows * header.ncols)
+        # a Raster must stay read-only; unpickled and mapped arrays are writable
+        yield Raster(header, locked(values.reshape(header.shape)))
+
+
 def cmd_interpolate(args: argparse.Namespace) -> int:
     try:
         idw = IdwParams(
@@ -154,27 +241,44 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise FlopitError(str(exc)) from None
     t0 = time.perf_counter()
-    dem = read_ascii_grid(args.dem)
+    paths = [args.dem, *(path for _, _, path in args.layer)]
+    procs = _processes(args.workers, len(paths))
+    grids = _read_forked(paths, procs) if procs > 1 else map(read_ascii_grid, paths)
+    dem = next(grids)
     layers = []
-    for t_years, kind, path in args.layer:
-        grid = read_ascii_grid(path)
+    for (t_years, kind, path), grid in zip(args.layer, grids):
         if not grids_aligned(dem.header, grid.header):
             raise FlopitError(f"layer {path} is not aligned with the DEM")
         layers.append(ReturnPeriodLayer(t_years, kind, grid))
+    if procs > 1:
+        _log_pool(f"read {len(paths)} grids", procs, t0)
 
     stack = validate_stack(dem, layers)
     logger.info("stack validated: %d layers, %dx%d cells",
                 len(stack.layers), dem.header.nrows, dem.header.ncols)
     filled = fill_stack(stack, idw)
-    del layers, stack  # frees the raw and unfilled grids before evaluation
+    # frees the raw and unfilled grids before evaluation; the reader holds
+    # the shared maps their values were read into
+    del layers, stack, grids
     pm = interpolate_map(filled, None, _METHODS[args.method], workers=args.workers)
     zones = derive_zones(filled)
 
     prefix = args.out
-    write_ascii_grid(pm.probability, f"{prefix}_prob.asc", args.decimals)
-    write_ascii_grid(pm.return_period, f"{prefix}_rp.asc", args.decimals)
-    write_ascii_grid(pm.clamp_flags, f"{prefix}_clamp.asc", 0)
-    write_ascii_grid(zones.zones, f"{prefix}_zones.asc", args.decimals)
+    outputs = [
+        (pm.probability, f"{prefix}_prob.asc", args.decimals),
+        (pm.return_period, f"{prefix}_rp.asc", args.decimals),
+        (pm.clamp_flags, f"{prefix}_clamp.asc", 0),
+        (zones.zones, f"{prefix}_zones.asc", args.decimals),
+    ]
+    procs = _processes(args.workers, len(outputs))
+    if procs > 1:
+        t_write = time.perf_counter()
+        for future in _forked(lambda i: write_ascii_grid(*outputs[i]), len(outputs), procs):
+            future.result()
+        _log_pool(f"wrote {len(outputs)} grids", procs, t_write)
+    else:
+        for output in outputs:
+            write_ascii_grid(*output)
     elapsed = time.perf_counter() - t0
 
     n_cells = dem.header.nrows * dem.header.ncols
@@ -251,6 +355,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except MemoryError as exc:
         print(f"flopit: error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except BrokenProcessPool as exc:  # a worker was killed, by the OOM killer say
+        print(f"flopit: error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"flopit: i/o error: {exc}", file=sys.stderr)

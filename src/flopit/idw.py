@@ -86,8 +86,11 @@ def _box_counts(padded: np.ndarray, radius: int) -> np.ndarray:
     """Count of True cells in the (2r+1)^2 box around each cell of a mask
     that ``padded`` pads with ``radius`` False cells on each side."""
     w = 2 * radius + 1
-    summed = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64)
-    summed[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
+    # no partial sum exceeds the cell count, so int32 is exact below 2^31
+    # cells and its two passes take about half the time of int64's
+    dtype = np.int32 if padded.size < 2**31 else np.int64
+    summed = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=dtype)
+    summed[1:, 1:] = padded.cumsum(axis=0, dtype=dtype).cumsum(axis=1, dtype=dtype)
     return summed[w:, w:] - summed[:-w, w:] - summed[w:, :-w] + summed[:-w, :-w]
 
 

@@ -1,7 +1,9 @@
 """Command-line behaviour: wiring, exit codes, determinism."""
 
+import os
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import flopit.cli
 from flopit import read_ascii_grid, write_ascii_grid
 from flopit.cli import main
+from flopit.raster import Raster, locked
 
 from conftest import make_raster
 
@@ -90,11 +93,78 @@ def test_outputs_byte_identical_across_runs(fixture_dir, tmp_path):
         assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
 
+def depth_args(fixture_dir, out_prefix, *extra):
+    """interpolate_args on depth grids made from the fixture's surfaces."""
+    dem = read_ascii_grid(fixture_dir / "dem.asc")
+    args = interpolate_args(fixture_dir, out_prefix, *extra)
+    for t in (10, 100, 500):
+        wse = read_ascii_grid(fixture_dir / f"wse_T{t}.asc")
+        depth = np.where(wse.data_mask, wse.values - dem.values, wse.nodata)
+        path = fixture_dir / f"depth_T{t}.asc"
+        write_ascii_grid(Raster(wse.header, locked(depth)), path)
+        args[args.index(f"{t}:wse:{fixture_dir / f'wse_T{t}.asc'}")] = f"{t}:depth:{path}"
+    return args
+
+
 def test_outputs_byte_identical_across_workers(fixture_dir, tmp_path):
-    assert main(interpolate_args(fixture_dir, tmp_path / "w1", "--workers", "1")) == 0
-    assert main(interpolate_args(fixture_dir, tmp_path / "w4", "--workers", "4")) == 0
-    for suffix in ("_prob.asc", "_rp.asc", "_clamp.asc", "_zones.asc"):
-        assert (tmp_path / f"w1{suffix}").read_bytes() == (tmp_path / f"w4{suffix}").read_bytes()
+    # the grids are read and written on min(workers, grids, CPUs) processes
+    for make_args in (interpolate_args, depth_args):
+        out = tmp_path / make_args.__name__
+        for workers in ("1", "2", "3", "0"):
+            assert main(make_args(fixture_dir, f"{out}_w{workers}", "--workers", workers)) == 0
+        for suffix in ("_prob.asc", "_rp.asc", "_clamp.asc", "_zones.asc"):
+            w1 = Path(f"{out}_w1{suffix}").read_bytes()
+            for workers in ("2", "3", "0"):
+                assert Path(f"{out}_w{workers}{suffix}").read_bytes() == w1
+
+
+def test_first_bad_layer_reports_same_error_across_workers(fixture_dir, tmp_path, capsys):
+    # layer 2 does not parse and layer 3 is missing: both runs name layer 2
+    bad = tmp_path / "bad.asc"
+    bad.write_bytes((fixture_dir / "wse_T100.asc").read_bytes().replace(b"7", b"x", 1))
+    args = interpolate_args(fixture_dir, tmp_path / "x")
+    args[args.index(f"100:wse:{fixture_dir / 'wse_T100.asc'}")] = f"100:wse:{bad}"
+    args[args.index(f"500:wse:{fixture_dir / 'wse_T500.asc'}")] = f"500:wse:{tmp_path / 'no.asc'}"
+    results = []
+    for workers in ("1", "3"):
+        code = main(args + ["--workers", workers])
+        results.append((code, capsys.readouterr().err))
+    assert results[0] == results[1]
+    assert results[0][0] == 2 and "bad.asc: cannot parse body token" in results[0][1]
+
+
+def test_layers_read_on_processes_are_read_only(fixture_dir, tmp_path, monkeypatch):
+    seen = []
+    validate = flopit.cli.validate_stack
+
+    def spy(dem, layers):
+        seen.extend([dem.values] + [layer.grid.values for layer in layers])
+        return validate(dem, layers)
+
+    monkeypatch.setattr(flopit.cli, "validate_stack", spy)
+    assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == 0
+    names = ["dem.asc", "wse_T10.asc", "wse_T100.asc", "wse_T500.asc"]
+    assert len(seen) == len(names)
+    for values, name in zip(seen, names):
+        assert not values.flags.writeable
+        assert np.array_equal(values, read_ascii_grid(fixture_dir / name).values)
+
+
+def test_dead_worker_is_data_error(fixture_dir, tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    read = flopit.cli.read_ascii_grid
+
+    def die_in_worker(path):
+        if os.getpid() != parent:
+            os._exit(1)
+        return read(path)
+
+    monkeypatch.setattr(flopit.cli, "read_ascii_grid", die_in_worker)
+    assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flopit: error: a worker process died: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "x_prob.asc").exists()
 
 
 def test_compare_no_overlap(fixture_dir, tmp_path, capsys):

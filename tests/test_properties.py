@@ -14,7 +14,8 @@
 * the Fritsch-Carlson slopes agree with SciPy's PCHIP wherever SciPy's
   slopes already satisfy the monotonicity disc, so the limiter is idle;
 * a truncated or byte-mutated input grid never escapes the CLI's exit-code
-  contract (0, 1, 2 or 3, no exception);
+  contract (0, 1, 2 or 3, no exception), and interpolate exits with the
+  same code and error at 2 workers as at 1;
 * IDW fill and smooth give the same bytes whether a cell whose nearest
   neighbourhood is full takes the fixed K-tap stencil or the gather, for
   any mask, radius, neighbour counts and row band;
@@ -250,13 +251,20 @@ def test_mutated_grid_stays_in_exit_contract(small_run, name, truncate, pos, byt
     data = (small_run / name).read_bytes()
     pos %= len(data)
     mutated = data[:pos] if truncate else data[:pos] + bytes([byte]) + data[pos + 1:]
+    outcomes = []
     with contextlib.ExitStack() as stack:
         tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
         (tmp / name).write_bytes(mutated)
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
-        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
-        code = main(_argv(small_run, name, tmp / name, tmp / "out"))
-    assert code in (0, 1, 2, 3)
+        argv = _argv(small_run, name, tmp / name, tmp / "out")
+        # interpolate also runs at 2 workers, which read and write on forked processes
+        for workers in [[]] if name in _OUTPUTS else [[], ["--workers", "2"]]:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv + workers)
+            lines = err.getvalue().splitlines()
+            outcomes.append((code, [line for line in lines if line.startswith("flopit")]))
+    assert outcomes[0][0] in (0, 1, 2, 3)
+    assert all(outcome == outcomes[0] for outcome in outcomes)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
