@@ -90,7 +90,10 @@ def _box_counts(padded: np.ndarray, radius: int) -> np.ndarray:
     # cells and its two passes take about half the time of int64's
     dtype = np.int32 if padded.size < 2**31 else np.int64
     summed = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=dtype)
-    summed[1:, 1:] = padded.cumsum(axis=0, dtype=dtype).cumsum(axis=1, dtype=dtype)
+    inner = summed[1:, 1:]
+    inner[...] = padded
+    np.cumsum(inner, axis=0, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
     return summed[w:, w:] - summed[:-w, w:] - summed[w:, :-w] + summed[:-w, :-w]
 
 
@@ -147,10 +150,13 @@ def _stencil(padded: np.ndarray, taps: list, full: np.ndarray, out: np.ndarray) 
     one whose K nearest offsets, the ``taps`` (weight, row and column in
     ``padded``), all hold data. :func:`_accumulate` takes exactly these K
     neighbours of such a cell, in this order, and then retires it, so the
-    same float operations run here on K shifted slices of ``padded``."""
+    same float operations run here on K shifted slices of ``padded``; as
+    every such cell sums the same weights in the same order, their sum is
+    one float."""
     h, ncols = full.shape
-    num, den, wv = np.zeros(full.shape), np.zeros(full.shape), np.empty(full.shape)
+    num, wv = np.zeros(full.shape), np.empty(full.shape)
     vmin, vmax = np.full(full.shape, np.inf), np.full(full.shape, -np.inf)
+    den = 0.0
     for w, a, b in taps:
         v = padded[a:a + h, b:b + ncols]
         np.multiply(w, v, out=wv)

@@ -15,10 +15,15 @@ about ``_BLOCK_CELLS`` cells, a read in a single pass over blocks of a
 fixed ``2 * _BLOCK_CELLS`` bytes that both parses and checks them. So
 besides the file's bytes and the value array, the memory a read or a
 write holds is bounded, for a faulty body as much as for a good one.
+Each block is first parsed by numpy's C text reader as one line; a block
+it rejects is parsed again token by token with ``float()``. Both convert
+with the same correctly rounded strtod, so the token rules are those of
+``float()`` either way.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -36,11 +41,11 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_
 _BLOCK_CELLS = 1 << 16
 
 # the ASCII line breaks of str.splitlines and whitespace of str.split;
-# bytes.split, which keeps \x1c-\x1f in its tokens, splits at them too
-# once they are turned into spaces
+# with all of it turned into spaces, a block is one line in which
+# bytes.split and the C reader find the tokens that str.split finds
 _LINE_BREAK = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
 _SPACE = re.compile(rb"[\s\x1c-\x1f]")
-_SPACE_OF_STR = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+_SPACE_OF_STR = bytes.maketrans(b"\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f", b" " * 9)
 
 
 @dataclass(frozen=True)
@@ -141,14 +146,28 @@ def _lines(data: bytes):
         yield data[pos:].decode("ascii"), len(data)
 
 
+def _parse_rejected(line: bytes) -> tuple[list[bytes], np.ndarray | None]:
+    """The tokens of a block that the C reader rejected and, unless one of
+    them is no number, their values by ``float()``'s rules, which also
+    read ``1_0`` as 10.0."""
+    tokens = line.split()
+    try:
+        return tokens, np.array(tokens, dtype=np.float64)
+    except ValueError:
+        return tokens, None
+
+
 def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarray:
     """The ``hdr.ncols * hdr.nrows`` finite numbers of the body ``data[start:]``.
 
     One pass parses and checks the body in blocks of ``2 * _BLOCK_CELLS``
-    bytes, each cut at whitespace; at 128 KiB, a block's token objects stay
-    in a 2 MB L2 cache. It counts every token and notes the first that is
-    no number and the first NaN/Inf; a wrong count is reported before
-    either, an unparsable token before a non-finite one.
+    bytes, each cut at whitespace; at 128 KiB, a block and the C reader's
+    4-byte copy of it stay in a 2 MB L2 cache. With its whitespace turned
+    into spaces, a block is one line to numpy's C text reader, so wrapped
+    rows read as fast as whole ones; only a block that it rejects is split
+    into tokens (:func:`_parse_rejected`). The pass counts every token and
+    notes the first that is no number and the first NaN/Inf; a wrong count
+    is reported before either, an unparsable token before a non-finite one.
     """
     n_cells = hdr.ncols * hdr.nrows
     # a separator follows every token but the last; a body too short for
@@ -159,16 +178,15 @@ def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarr
     while start < len(data):
         cut = _SPACE.search(data, start + 2 * _BLOCK_CELLS)
         end = cut.start() if cut else len(data)
-        block = data[start:end]
+        line = data[start:end].translate(_SPACE_OF_STR)
         start = end
+        if line.isspace():
+            continue  # no token, on which the C reader would warn of no data
         try:
-            vals = np.array(block.split(), dtype=np.float64)
+            vals = np.loadtxt(io.BytesIO(line), dtype=np.float64, comments=None, ndmin=1)
         except ValueError:
-            block = block.translate(_SPACE_OF_STR)
-            tokens = block.split()
-            try:
-                vals = np.array(tokens, dtype=np.float64)
-            except ValueError:
+            tokens, vals = _parse_rejected(line)
+            if vals is None:
                 count += len(tokens)
                 for tok in tokens:
                     try:
@@ -181,8 +199,7 @@ def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarr
             values[count:count + len(vals)] = vals
         finite = np.isfinite(vals)
         if non_finite is None and not finite.all():
-            tokens = block.translate(_SPACE_OF_STR).split()
-            non_finite = tokens[int(np.argmin(finite))].decode("ascii")
+            non_finite = line.split()[int(np.argmin(finite))].decode("ascii")
         count += len(vals)
     if count != n_cells:
         raise GridDimensionError(

@@ -22,7 +22,8 @@
 * the grid writer's bytes equal ``%``-formatting each cell, for every
   ``decimals`` and wherever the row blocks end;
 * the grid reader's values, or its exception class and message, equal
-  those of parsing the whole body at once, wherever the blocks end.
+  those of parsing the whole body at once, wherever the blocks end, for
+  tokens at the edges of what numpy's C reader and ``float()`` accept.
 """
 
 import contextlib
@@ -407,7 +408,14 @@ def test_writer_bytes_equal_percent_formatting(tmp_path_factory, data):
 
 # -- ASCII grid reader -------------------------------------------------------
 
-_BODY_TOKENS = ["nan", "inf", "1e999", "x", "0x10", "1_0", "-0.0"]
+# what the C reader and float() read alike, what only float() reads
+# (1_0), and what neither reads
+_BODY_TOKENS = [
+    "+1.5", ".5", "5.", "007", "-0", "-0.0", "1e-400", "1e999",
+    "4.9e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "nan", "-nan", "inf", "Infinity", "1_0", "1\x00",
+    "x", "0x10", "1d5", "1,5", "\x00", "1\x002",
+]
 _BODY_SEPARATORS = [" ", "\n", "\r\n", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
 
 
@@ -426,9 +434,15 @@ def test_reader_equals_whole_body_parse(tmp_path_factory, data):
         xllcorner=0.0, yllcorner=0.0, cellsize=1.0,
     )
     n_tokens = hdr.ncols * hdr.nrows + data.draw(st.sampled_from([-1, 0, 0, 1]))
+    digits = st.text("0123456789", min_size=1, max_size=1)
     plain = st.one_of(
         st.integers(-10**6, 10**6).map(str),
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        # 17 and 400 significant digits: correct rounding needs them all
+        st.tuples(digits, st.text("0123456789", min_size=16, max_size=16),
+                  st.integers(-340, 310)).map(lambda t: f"{t[0]}.{t[1]}e{t[2]}"),
+        st.tuples(digits, st.text("0123456789", min_size=399, max_size=399),
+                  st.integers(-340, 310)).map(lambda t: f"-{t[0]}.{t[1]}e{t[2]}"),
     )
     tokens = data.draw(st.lists(
         st.one_of(plain, plain, plain, st.sampled_from(_BODY_TOKENS)),

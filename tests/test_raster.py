@@ -1,6 +1,7 @@
 """ASCII grid parsing, writing and round-trip behaviour."""
 
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -268,6 +269,50 @@ def test_body_read_in_blocks(tmp_path, block_cells, sep, layout):
         r = read_ascii_grid(f)
     want = np.array([float(tok) for tok in text.split()[12:]])
     assert r.values.tobytes() == want.reshape(4, 3).tobytes()
+
+
+@pytest.mark.parametrize("block_cells", [1, 5, 1 << 16])
+@pytest.mark.parametrize("sep", _SEPARATORS, ids=repr)
+def test_wrapped_rows_and_any_separator_take_the_c_reader(
+    tmp_path, monkeypatch, block_cells, sep
+):
+    # each block reaches numpy's C reader as one line, so neither the row
+    # layout nor a separator of str.split sends plain numbers elsewhere
+    def rejected(line):
+        raise AssertionError(f"block fell back: {line!r}")
+
+    monkeypatch.setattr(raster, "_parse_rejected", rejected)
+    tokens = [tok.replace("_", "") for tok in _TOKENS]
+    body = "\n".join(sep.join(tokens[i:i + 5]) for i in range(0, 12, 5)) + sep
+    f = write_text(tmp_path / "g.asc", _HEAD + body)
+    with mock.patch.object(raster, "_BLOCK_CELLS", block_cells):
+        r = read_ascii_grid(f)
+        assert r.values.tobytes() == np.array([float(t) for t in tokens]).reshape(4, 3).tobytes()
+        # 1_0 is no number to the C reader: that block does fall back
+        with pytest.raises(AssertionError, match="block fell back"):
+            read_ascii_grid(write_text(tmp_path / "u.asc", _HEAD + sep.join(_TOKENS)))
+
+
+@pytest.mark.parametrize("block_cells", [1, 1 << 16])
+@pytest.mark.parametrize(
+    "body, want",
+    [("", None), (" \r\n\t\x0b\x0c\n", None), ("\x1c" * 40, None),
+     ("1" + " \x1c\n" * 40 + "2\n" + "\x1f" * 40, [1.0, 2.0])],
+    ids=["empty", "whitespace", "unit-separators", "tokens-apart"],
+)
+def test_blocks_without_a_token_raise_no_warning(tmp_path, block_cells, body, want):
+    # the C reader warns on input without data; such blocks never reach it
+    f = write_text(
+        tmp_path / "g.asc",
+        "NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\nNODATA_VALUE -9\n" + body,
+    )
+    with warnings.catch_warnings(), mock.patch.object(raster, "_BLOCK_CELLS", block_cells):
+        warnings.simplefilter("error")
+        if want is None:
+            with pytest.raises(GridDimensionError, match="found 0$"):
+                read_ascii_grid(f)
+        else:
+            assert read_ascii_grid(f).values.tolist() == [want]
 
 
 @pytest.mark.parametrize("brk", ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"], ids=repr)
