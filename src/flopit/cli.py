@@ -10,13 +10,11 @@ from __future__ import annotations
 import argparse
 import logging
 import mmap
-import multiprocessing
 import os
 import resource
 import sys
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from .curves import InterpolationMethod
 from .errors import FlopitError
 from .hazard import LayerKind, ReturnPeriodLayer, validate_stack
 from .idw import IdwMode, IdwParams, fill_stack
-from .probability import derive_zones, interpolate_map
+from .probability import derive_zones, interpolate_map, pool_size
 from .raster import Raster, grids_aligned, locked, read_ascii_grid, write_ascii_grid
 from .synth import FixtureShape, FixtureSpec, write_fixture
 from .zonestats import compare_zones, write_stats_csv
@@ -122,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_non_negative_int,
         default=1,
-        help="processes that read and write the grids and threads that evaluate "
-        "them; 0 = one per CPU; output bytes never depend on it",
+        help="processes that parse the input grids and threads that evaluate and "
+        "write; 0 = one per CPU, and never more than one per CPU; output bytes "
+        "never depend on it",
     )
     p_int.add_argument(
         "--decimals", type=_non_negative_int, default=6, help="output decimal places"
@@ -167,35 +166,6 @@ def _run_task(i: int):
     return _worker_task(i)
 
 
-def _processes(workers: int, n_tasks: int) -> int:
-    """Processes for ``n_tasks`` tasks at ``--workers`` (0 = one per CPU),
-    at most one per task and one per CPU."""
-    cpus = os.cpu_count() or 1
-    return min(workers or cpus, n_tasks, cpus)
-
-
-def _forked(task, n_tasks: int, procs: int) -> list[Future]:
-    """Run task(0), ..., task(n_tasks - 1) on ``procs`` processes forked
-    from this one; returns their futures, all done, in task order.
-
-    The workers inherit ``task`` and all it reads, so only the task index
-    and the result are pickled. A result raises what its task raised, or
-    BrokenProcessPool if a worker died. Fork is safe at both calls: this
-    process then runs no thread but OpenBLAS's idle ones.
-    """
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(procs, fork, initializer=_adopt, initargs=(task,)) as pool:
-        return [pool.submit(_run_task, i) for i in range(n_tasks)]
-
-
-def _log_pool(done: str, procs: int, t0: float) -> None:
-    peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB on Linux
-    logger.info(
-        "%s on %d processes in %.3f s; largest worker peak RSS %.1f MiB",
-        done, procs, time.perf_counter() - t0, peak_kib / 1024,
-    )
-
-
 def _shared_map(path: str) -> mmap.mmap | None:
     """An anonymous shared map that can hold the values of the grid at
     ``path``: a separator follows every token but the last, so a file of
@@ -210,8 +180,17 @@ def _shared_map(path: str) -> mmap.mmap | None:
 def _read_forked(paths: list[str], procs: int):
     """The grids at ``paths``, read on ``procs`` forked processes, as an
     iterator in path order; it raises a grid's read error when it reaches
-    that grid. A worker copies the values into the grid's shared map, made
-    before the fork, so they are not pickled."""
+    that grid, or BrokenProcessPool if a worker died.
+
+    The workers inherit ``read`` and all it reads, so only the grid index
+    is pickled to a worker. A worker copies the values into the grid's
+    shared map, made before the fork, so they are not pickled back. Fork
+    is safe here: this process then runs no thread but OpenBLAS's idle
+    ones.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     maps = [_shared_map(path) for path in paths]
 
     def read(i: int):
@@ -221,7 +200,10 @@ def _read_forked(paths: list[str], procs: int):
         np.frombuffer(maps[i], count=grid.values.size)[:] = grid.values.ravel()
         return grid.header, None
 
-    for future, shared in zip(_forked(read, len(paths), procs), maps):
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(procs, fork, initializer=_adopt, initargs=(read,)) as pool:
+        futures = [pool.submit(_run_task, i) for i in range(len(paths))]
+    for future, shared in zip(futures, maps):
         header, values = future.result()
         if values is None:
             values = np.frombuffer(shared, count=header.nrows * header.ncols)
@@ -242,7 +224,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         raise FlopitError(str(exc)) from None
     t0 = time.perf_counter()
     paths = [args.dem, *(path for _, _, path in args.layer)]
-    procs = _processes(args.workers, len(paths))
+    procs = pool_size(args.workers, len(paths))
     grids = _read_forked(paths, procs) if procs > 1 else map(read_ascii_grid, paths)
     dem = next(grids)
     layers = []
@@ -251,7 +233,11 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
             raise FlopitError(f"layer {path} is not aligned with the DEM")
         layers.append(ReturnPeriodLayer(t_years, kind, grid))
     if procs > 1:
-        _log_pool(f"read {len(paths)} grids", procs, t0)
+        peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB on Linux
+        logger.info(
+            "read %d grids on %d processes in %.3f s; largest worker peak RSS %.1f MiB",
+            len(paths), procs, time.perf_counter() - t0, peak_kib / 1024,
+        )
 
     stack = validate_stack(dem, layers)
     logger.info("stack validated: %d layers, %dx%d cells",
@@ -270,15 +256,16 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         (pm.clamp_flags, f"{prefix}_clamp.asc", 0),
         (zones.zones, f"{prefix}_zones.asc", args.decimals),
     ]
-    procs = _processes(args.workers, len(outputs))
-    if procs > 1:
-        t_write = time.perf_counter()
-        for future in _forked(lambda i: write_ascii_grid(*outputs[i]), len(outputs), procs):
-            future.result()
-        _log_pool(f"wrote {len(outputs)} grids", procs, t_write)
-    else:
-        for output in outputs:
-            write_ascii_grid(*output)
+    # formatting releases the GIL, so threads suffice; the first failure
+    # raised is the first in output order
+    t_write = time.perf_counter()
+    threads = pool_size(args.workers, len(outputs))
+    with ThreadPoolExecutor(threads) as pool:
+        list(pool.map(lambda output: write_ascii_grid(*output), outputs))
+    logger.info(
+        "wrote %d grids on %d thread(s) in %.3f s",
+        len(outputs), threads, time.perf_counter() - t_write,
+    )
     elapsed = time.perf_counter() - t0
 
     n_cells = dem.header.nrows * dem.header.ncols
@@ -356,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"flopit: error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except BrokenProcessPool as exc:  # a worker was killed, by the OOM killer say
+    except BrokenExecutor as exc:  # a worker was killed, by the OOM killer say
         print(f"flopit: error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

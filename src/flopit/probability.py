@@ -14,8 +14,9 @@ cell's ground elevation. Coercion rules for cells the curve cannot reach:
 
 The per-cell work is independent, so the grid is processed in row bands of
 a fixed number of cells, cut from the grid's shape alone. The worker count
-only sets how many bands run at once: neither the output bytes nor the
-peak memory of evaluation depend on it.
+only sets how many bands run at once, at most one per CPU: the output
+bytes never depend on it, and each running band adds its own temporaries
+to the peak memory.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ CLAMP_LOW = Clamped.LOW.value
 
 # cells per evaluation band; bounds the batch the curve kernel sees
 _BAND_CELLS = 1 << 14
+
+
+def pool_size(workers: int, n_tasks: int) -> int:
+    """Workers for ``n_tasks`` tasks at a requested ``workers`` (0 = one
+    per CPU): at most one per task and one per CPU."""
+    cpus = os.cpu_count() or 1
+    return min(workers or cpus, n_tasks, cpus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +96,8 @@ def interpolate_map(
 
     When ``params`` is given the layers are IDW-filled/smoothed first; pass
     None for a stack that has already been through :func:`fill_stack`.
-    ``workers`` counts threads (0 = one per CPU); it only sets how many of
+    ``workers`` counts threads (0 = one per CPU), capped by
+    :func:`pool_size` at one per CPU and per band; it only sets how many of
     the fixed-size row bands run at once, so any value produces
     bit-identical output.
     """
@@ -149,7 +158,7 @@ def interpolate_map(
     nrows, ncols = out_hdr.shape
     step = max(1, _BAND_CELLS // ncols)
     bands = [slice(r, min(r + step, nrows)) for r in range(0, nrows, step)]
-    with ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1) as pool:
+    with ThreadPoolExecutor(max_workers=pool_size(workers, len(bands))) as pool:
         drop_lists = list(pool.map(run_band, bands))
     for k, n_drop in enumerate(np.sum(drop_lists, axis=0)):
         if n_drop:

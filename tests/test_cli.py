@@ -107,7 +107,8 @@ def depth_args(fixture_dir, out_prefix, *extra):
 
 
 def test_outputs_byte_identical_across_workers(fixture_dir, tmp_path):
-    # the grids are read and written on min(workers, grids, CPUs) processes
+    # the grids are read on min(workers, grids, CPUs) processes and written
+    # on min(workers, 4, CPUs) threads
     for make_args in (interpolate_args, depth_args):
         out = tmp_path / make_args.__name__
         for workers in ("1", "2", "3", "0"):
@@ -165,6 +166,19 @@ def test_dead_worker_is_data_error(fixture_dir, tmp_path, capsys, monkeypatch):
     assert err.startswith("flopit: error: a worker process died: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "x_prob.asc").exists()
+
+
+def test_grids_written_in_the_cli_process(fixture_dir, tmp_path, monkeypatch):
+    pids = []
+    write = flopit.cli.write_ascii_grid
+
+    def spy(*args):
+        pids.append(os.getpid())
+        write(*args)
+
+    monkeypatch.setattr(flopit.cli, "write_ascii_grid", spy)
+    assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == 0
+    assert pids == [os.getpid()] * 4
 
 
 def test_compare_no_overlap(fixture_dir, tmp_path, capsys):
@@ -420,6 +434,18 @@ def test_missing_file_is_io_error(tmp_path, capsys):
 def test_unwritable_output_is_io_error(fixture_dir, tmp_path, capsys):
     code = main(interpolate_args(fixture_dir, tmp_path / "no_dir" / "deep" / "x"))
     assert code == 3
+
+
+def test_unwritable_output_same_error_across_workers(fixture_dir, tmp_path, capsys):
+    args = interpolate_args(fixture_dir, tmp_path / "no_dir" / "x")
+    results = []
+    for workers in ("1", "2"):
+        code = main(args + ["--workers", workers])
+        lines = capsys.readouterr().err.splitlines()
+        results.append((code, [line for line in lines if line.startswith("flopit")]))
+    assert results[0] == results[1]
+    assert results[0][0] == 3 and len(results[0][1]) == 1
+    assert "x_prob.asc" in results[0][1][0]
 
 
 def test_loglinear_method_flag(fixture_dir, tmp_path):

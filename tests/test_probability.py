@@ -222,6 +222,27 @@ def test_banded_writes_under_thread_switching():
     assert ref.clamp_flags.values.tobytes() == other.clamp_flags.values.tobytes()
 
 
+def test_threads_capped_at_cpus_and_bands(monkeypatch):
+    dem, layers = generate_fixture(RAMP)
+    stack = fill_stack(validate_stack(dem, layers), IdwParams())
+    asked = []
+    pool = probability.ThreadPoolExecutor
+
+    def spy(max_workers):
+        asked.append(max_workers)
+        return pool(max_workers)
+
+    monkeypatch.setattr(probability, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for workers in (64, 0, 1):
+        interpolate_map(stack, None, SPLINE, workers=workers)  # a single band
+    # 60 bands of one 8-cell row
+    monkeypatch.setattr(probability, "_BAND_CELLS", 8)
+    for workers in (64, 0, 1):
+        interpolate_map(stack, None, SPLINE, workers=workers)
+    assert asked == [1, 1, 1, 2, 2, 1]
+
+
 def test_repeated_runs_bit_identical():
     dem, layers = generate_fixture(RAMP)
     stack = validate_stack(dem, layers)

@@ -258,7 +258,7 @@ def test_mutated_grid_stays_in_exit_contract(small_run, name, truncate, pos, byt
         (tmp / name).write_bytes(mutated)
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         argv = _argv(small_run, name, tmp / name, tmp / "out")
-        # interpolate also runs at 2 workers, which read and write on forked processes
+        # interpolate also runs at 2 workers: forked processes read, threads write
         for workers in [[]] if name in _OUTPUTS else [[], ["--workers", "2"]]:
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main(argv + workers)
