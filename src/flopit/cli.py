@@ -23,7 +23,9 @@ from .errors import FlopitError
 from .hazard import LayerKind, ReturnPeriodLayer, validate_stack
 from .idw import IdwMode, IdwParams, fill_stack
 from .probability import derive_zones, interpolate_map, pool_size
-from .raster import Raster, grids_aligned, locked, read_ascii_grid, write_ascii_grid
+from .raster import (
+    MAX_DECIMALS, Raster, grids_aligned, locked, read_ascii_grid, write_ascii_grid,
+)
 from .synth import FixtureShape, FixtureSpec, write_fixture
 from .zonestats import compare_zones, write_stats_csv
 
@@ -76,6 +78,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _decimals(text: str) -> int:
+    value = _non_negative_int(text)
+    if value > MAX_DECIMALS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DECIMALS}, got {value}")
+    return value
+
+
 def _parse_level(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -125,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         "never depend on it",
     )
     p_int.add_argument(
-        "--decimals", type=_non_negative_int, default=6, help="output decimal places"
+        "--decimals", type=_decimals, default=6,
+        help=f"output decimal places, 0 to {MAX_DECIMALS}",
     )
 
     p_cmp = sub.add_parser("compare", help="per-zone statistics of a probability map")
@@ -300,7 +310,7 @@ def cmd_compare(prob_path: str, zones_path: str, out_csv: str) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    levels = tuple(args.level) or ((10.0, 5.0), (100.0, 7.0), (500.0, 8.0))
+    levels = tuple(args.level) or FixtureSpec.wse_levels
     try:
         spec = FixtureSpec(
             shape=FixtureShape(args.shape),

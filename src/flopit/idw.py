@@ -20,7 +20,7 @@ are gathered, nearest offset first, from up to all (2r+1)^2 - 1 cells of
 their box, so for them IDW's cost grows as ``radius_cells``^2. Both paths
 read one padded copy of the grid and of its mask, with one set of weights,
 and one rule then gives each nodata cell its estimate and each data cell
-the 0.5/0.5 blend.
+the 0.5/0.5 blend, in the same :func:`~flopit.raster.row_bands` as evaluation.
 """
 
 from __future__ import annotations
@@ -33,10 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hazard import HazardStack, ReturnPeriodLayer
-from .raster import Raster, locked
-
-# cells per row band of the stencil and blend pass; a band holds at least one row
-_BAND_CELLS = 1 << 14
+from .raster import Raster, locked, row_bands
 
 
 class IdwMode(Enum):
@@ -206,11 +203,10 @@ def _idw(wse: Raster, params: IdwParams, smooth: bool) -> Raster:
         cand[rows[~hit], cols[~hit]] = False
     # cand now marks the cells given an estimate: nodata cells take it, data
     # cells the 0.5/0.5 blend
-    step = max(1, _BAND_CELLS // ncols)
-    for r0 in range(0, nrows, step):
-        band = slice(r0, r0 + step)
+    for band in row_bands(mask.shape):
         if full[band].any():
-            _stencil(padded[r0:r0 + step + 2 * radius], taps, full[band], out[band])
+            halo = slice(band.start, band.stop + 2 * radius)
+            _stencil(padded[halo], taps, full[band], out[band])
         blend = cand[band] & mask[band]
         if blend.any():
             np.copyto(out[band], 0.5 * values[band] + 0.5 * out[band], where=blend)

@@ -12,11 +12,11 @@ cell's ground elevation. Coercion rules for cells the curve cannot reach:
   the rarest probability (flag 2);
 * fewer than two usable surfaces: nodata.
 
-The per-cell work is independent, so the grid is processed in row bands of
-a fixed number of cells, cut from the grid's shape alone. The worker count
-only sets how many bands run at once, at most one per CPU: the output
-bytes never depend on it, and each running band adds its own temporaries
-to the peak memory.
+The per-cell work is independent, so the grid is processed in the row
+bands of :func:`~flopit.raster.row_bands`, and each band fills its rows of
+all three outputs. The worker count only sets how many bands run at once,
+at most one per CPU: the output bytes never depend on it, and each running
+band adds its own temporaries to the peak memory.
 """
 
 from __future__ import annotations
@@ -32,16 +32,13 @@ import numpy as np
 from .curves import MIN_KNOT_GAP, Clamped, InterpolationMethod, _evaluate_knot_batch
 from .hazard import HazardStack
 from .idw import IdwParams, fill_stack
-from .raster import DEFAULT_NODATA, GridHeader, Raster, locked
+from .raster import DEFAULT_NODATA, GridHeader, Raster, locked, row_bands
 
 logger = logging.getLogger(__name__)
 
 CLAMP_INTERIOR = Clamped.NO.value
 CLAMP_HIGH = Clamped.HIGH.value
 CLAMP_LOW = Clamped.LOW.value
-
-# cells per evaluation band; bounds the batch the curve kernel sees
-_BAND_CELLS = 1 << 14
 
 
 def pool_size(workers: int, n_tasks: int) -> int:
@@ -110,6 +107,7 @@ def interpolate_map(
     p_arr = np.array(stack.probabilities)
     log_p = np.log(p_arr)
     prob = np.full(out_hdr.shape, nodata)
+    rp = np.full(out_hdr.shape, nodata)
     flags = np.full(out_hdr.shape, nodata)
 
     def run_band(rows: slice) -> np.ndarray:
@@ -153,11 +151,10 @@ def interpolate_map(
                 x, log_p[bits], p_arr[bits], z_pat[inner], method
             )
             band_flags[at] = CLAMP_INTERIOR
+        np.divide(1.0, prob[rows], out=rp[rows], where=prob[rows] != nodata)
         return drops
 
-    nrows, ncols = out_hdr.shape
-    step = max(1, _BAND_CELLS // ncols)
-    bands = [slice(r, min(r + step, nrows)) for r in range(0, nrows, step)]
+    bands = row_bands(out_hdr.shape)
     with ThreadPoolExecutor(max_workers=pool_size(workers, len(bands))) as pool:
         drop_lists = list(pool.map(run_band, bands))
     for k, n_drop in enumerate(np.sum(drop_lists, axis=0)):
@@ -166,9 +163,6 @@ def interpolate_map(
                 "monotonicity repair dropped layer T=%g at %d cells",
                 stack.periods[k], int(n_drop),
             )
-
-    rp = np.full(out_hdr.shape, nodata)
-    np.divide(1.0, prob, out=rp, where=prob != nodata)
     return ProbabilityMap(
         probability=Raster(out_hdr, locked(prob)),
         return_period=Raster(out_hdr, locked(rp)),

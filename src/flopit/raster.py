@@ -10,11 +10,11 @@ nodata sentinel exactly; NaN and infinities are rejected on input rather
 than silently converted. On output each data cell is exactly what
 ``%.{decimals}f`` prints for it.
 
-Both directions work on the body in blocks: a write in whole rows of
-about ``_BLOCK_CELLS`` cells, a read in a single pass over blocks of a
-fixed ``2 * _BLOCK_CELLS`` bytes that both parses and checks them. So
-besides the file's bytes and the value array, the memory a read or a
-write holds is bounded, for a faulty body as much as for a good one.
+Both directions work on the body in blocks: a write in the row bands of
+:func:`row_bands` at ``_BLOCK_CELLS`` cells, a read in a single pass over
+blocks of a fixed ``2 * _BLOCK_CELLS`` bytes that both parses and checks
+them. So besides the file's bytes and the value array, the memory a read
+or a write holds is bounded, for a faulty body as much as for a good one.
 Each block is first parsed by numpy's C text reader as one line; a block
 it rejects is parsed again token by token with ``float()``. Both convert
 with the same correctly rounded strtod, so the token rules are those of
@@ -35,10 +35,16 @@ from .errors import GridDimensionError, GridParseError
 
 DEFAULT_NODATA = -9999.0
 
+# every double prints exactly with 1074 decimals; more would only append zeros
+MAX_DECIMALS = 1074
+
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 # cells per I/O block; bounds the text a read or a write holds at once
 _BLOCK_CELLS = 1 << 16
+# cells per row band of IDW and evaluation; IDW, and evaluation on threads,
+# run faster in bands this small, text formatting in whole I/O blocks
+_BAND_CELLS = 1 << 14
 
 # the ASCII line breaks of str.splitlines and whitespace of str.split;
 # with all of it turned into spaces, a block is one line in which
@@ -134,6 +140,14 @@ def grids_aligned(a: GridHeader, b: GridHeader) -> bool:
         and abs(a.yllcorner - b.yllcorner) <= tol
         and abs(a.cellsize - b.cellsize) <= tol
     )
+
+
+def row_bands(shape: tuple[int, int], cells: int | None = None) -> list[slice]:
+    """Row slices cutting ``shape``, in order, into bands of max(1, cells // ncols)
+    rows, the last one shorter; ``cells`` defaults to ``_BAND_CELLS`` at call time."""
+    nrows, ncols = shape
+    step = max(1, (_BAND_CELLS if cells is None else cells) // ncols)
+    return [slice(r, min(r + step, nrows)) for r in range(0, nrows, step)]
 
 
 def _lines(data: bytes):
@@ -369,11 +383,11 @@ def write_ascii_grid(raster: Raster, path: str | Path, decimals: int = 6) -> Non
     Each data cell is printed exactly as ``%.{decimals}f`` prints it;
     nodata cells carry the literal nodata value. Output bytes are fully
     determined by the raster and ``decimals``. The body is formatted in
-    row blocks of about ``_BLOCK_CELLS`` cells, so the text held in memory
+    :func:`row_bands` of ``_BLOCK_CELLS`` cells, so the text held in memory
     at once is bounded.
     """
-    if decimals < 0:
-        raise ValueError("decimals must be >= 0")
+    if not 0 <= decimals <= MAX_DECIMALS:
+        raise ValueError(f"decimals must be in [0, {MAX_DECIMALS}], got {decimals}")
     hdr = raster.header
     nodata_text = _format_geo(hdr.nodata_value)
     header = (
@@ -384,11 +398,10 @@ def write_ascii_grid(raster: Raster, path: str | Path, decimals: int = 6) -> Non
         f"CELLSIZE {_format_geo(hdr.cellsize)}\n"
         f"NODATA_VALUE {nodata_text}\n"
     )
-    step = max(1, _BLOCK_CELLS // hdr.ncols)
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        for r in range(0, hdr.nrows, step):
+        for band in row_bands(hdr.shape, _BLOCK_CELLS):
             f.write(_format_rows(
-                raster.values[r:r + step].reshape(-1), hdr.ncols, decimals,
+                raster.values[band].reshape(-1), hdr.ncols, decimals,
                 hdr.nodata_value, nodata_text,
             ))

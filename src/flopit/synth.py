@@ -66,6 +66,11 @@ class FixtureSpec:
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
             raise ValueError("fixture must be at least 1x1")
+        if self.ncols * self.nrows * 8 > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"a {self.ncols}x{self.nrows} grid of float64 is more bytes "
+                "than this platform can address"
+            )
         if not 0 < self.slope < math.inf:
             raise ValueError(f"slope must be positive and finite, got {self.slope}")
         # bounds |elevation| on every shape, noise included

@@ -282,6 +282,20 @@ def test_out_of_memory_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize("big", [["--ncols", "10000000000", "--nrows", "10000000000"],
+                                 ["--ncols", "100000000000000000000"]])
+def test_synth_beyond_addressable_is_data_error(tmp_path, capsys, monkeypatch, big):
+    def no_write(*args, **kwargs):
+        raise AssertionError("a fixture was generated")
+
+    monkeypatch.setattr(flopit.cli, "write_fixture", no_write)
+    assert main(["synth", "--out", str(tmp_path / "f"), *big]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flopit: error: a ") and "more bytes than" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "f").exists()
+
+
 def test_bad_layer_spec_is_usage_error(fixture_dir, tmp_path, capsys):
     code = main([
         "interpolate",
@@ -298,6 +312,18 @@ def test_negative_count_is_usage_error(fixture_dir, tmp_path, capsys, option):
     assert code == 1
     assert f"{option}: must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "neg_prob.asc").exists()
+
+
+@pytest.mark.parametrize("decimals", ["1075", "3000000000"])
+def test_decimals_beyond_exact_is_usage_error(fixture_dir, tmp_path, capsys, decimals):
+    code = main(interpolate_args(fixture_dir, tmp_path / "big", "--decimals", decimals))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("flopit")] == [
+        f"flopit interpolate: error: argument --decimals: must be <= 1074, got {decimals}"
+    ]
+    assert "Traceback" not in err
+    assert list(tmp_path.glob("big*")) == []
 
 
 def test_non_ascii_grid_is_data_error(fixture_dir, tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from flopit import IdwMode, IdwParams, idw, idw_fill, idw_smooth
+from flopit import IdwMode, IdwParams, idw, idw_fill, idw_smooth, raster
 from flopit.idw import _box_counts
 
 from conftest import gather_reference, make_raster
@@ -256,7 +256,7 @@ _STENCIL_CASES = [
 @pytest.mark.parametrize("op", [idw_fill, idw_smooth])
 def test_stencil_equals_gather(op, shape, params, band_cells, rng, monkeypatch):
     if band_cells is not None:
-        monkeypatch.setattr(idw, "_BAND_CELLS", band_cells)
+        monkeypatch.setattr(raster, "_BAND_CELLS", band_cells)
     taken = 0
     for nodata_frac in (0.0, 0.05, 0.3, 0.7):
         # mostly one value: the weighted mean can round outside the
@@ -282,7 +282,7 @@ def test_stencil_equals_gather(op, shape, params, band_cells, rng, monkeypatch):
 @pytest.mark.parametrize("band_cells", [27, 41])  # bands of 3 and 4 rows of 9
 @pytest.mark.parametrize("op", [idw_fill, idw_smooth])
 def test_stencil_nodata_on_band_edges(op, band_cells, rng, monkeypatch):
-    monkeypatch.setattr(idw, "_BAND_CELLS", band_cells)
+    monkeypatch.setattr(raster, "_BAND_CELLS", band_cells)
     step = band_cells // 9
     at_edge = np.isin(np.arange(14) % step, [0, step - 1])[:, None]
     params = IdwParams(radius_cells=1)

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from flopit import probability
+from flopit import probability, raster
 from flopit import (
     CLAMP_HIGH,
     CLAMP_INTERIOR,
@@ -189,7 +189,7 @@ def test_worker_count_does_not_change_bytes():
     ref = interpolate_map(stack, None, SPLINE, workers=1)  # a single band
     # 45, 12 or 7 bands of 1, 4 or 7 rows; the last band is shorter
     for band_cells in (1, 250, 7 * 60):
-        with mock.patch.object(probability, "_BAND_CELLS", band_cells):
+        with mock.patch.object(raster, "_BAND_CELLS", band_cells):
             for workers in (1, 2, 3, 7):
                 other = interpolate_map(stack, None, SPLINE, workers=workers)
                 for name in ("probability", "return_period", "clamp_flags"):
@@ -214,11 +214,12 @@ def test_banded_writes_under_thread_switching():
     sys.setswitchinterval(1e-6)
     try:
         # 50 cells = 2 rows of 23: 1.5 bands per worker
-        with mock.patch.object(probability, "_BAND_CELLS", 50):
+        with mock.patch.object(raster, "_BAND_CELLS", 50):
             other = interpolate_map(stack, None, SPLINE, workers=workers)
     finally:
         sys.setswitchinterval(interval)
     assert ref.probability.values.tobytes() == other.probability.values.tobytes()
+    assert ref.return_period.values.tobytes() == other.return_period.values.tobytes()
     assert ref.clamp_flags.values.tobytes() == other.clamp_flags.values.tobytes()
 
 
@@ -237,7 +238,7 @@ def test_threads_capped_at_cpus_and_bands(monkeypatch):
     for workers in (64, 0, 1):
         interpolate_map(stack, None, SPLINE, workers=workers)  # a single band
     # 60 bands of one 8-cell row
-    monkeypatch.setattr(probability, "_BAND_CELLS", 8)
+    monkeypatch.setattr(raster, "_BAND_CELLS", 8)
     for workers in (64, 0, 1):
         interpolate_map(stack, None, SPLINE, workers=workers)
     assert asked == [1, 1, 1, 2, 2, 1]

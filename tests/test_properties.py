@@ -120,7 +120,7 @@ def test_map_equals_per_cell_curves(caplog, stack, method, band_cells):
         for t, n in zip(stack.periods, _repair_drops(stack))
         if n
     ]
-    with mock.patch.object(probability, "_BAND_CELLS", band_cells):
+    with mock.patch.object(raster, "_BAND_CELLS", band_cells):
         maps += [interpolate_map(stack, None, method, workers=w) for w in (1, 2, 3)]
     for other in maps[1:]:
         for name in ("probability", "return_period", "clamp_flags"):
@@ -343,7 +343,7 @@ def test_idw_stencil_equals_gather(data):
     )
     band_cells = data.draw(st.integers(1, 40))
     r = make_raster(values, nodata)
-    with mock.patch.object(idw, "_BAND_CELLS", band_cells):
+    with mock.patch.object(raster, "_BAND_CELLS", band_cells):
         for op, smooth in ((idw.idw_fill, False), (idw.idw_smooth, True)):
             expected = gather_reference(r, params, smooth)
             assert op(r, params).values.tobytes() == expected.tobytes()

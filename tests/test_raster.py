@@ -90,6 +90,42 @@ def test_write_nodata_literal(tmp_path):
     assert (tmp_path / "o.asc").read_text().splitlines()[-1] == "-9999 1.00"
 
 
+def test_write_decimals_range(tmp_path):
+    # every double prints exactly with 1074 decimals, the most accepted
+    r = make_raster([[2.0**-1074, -1.0 / 3.0]])
+    write_ascii_grid(r, tmp_path / "o.asc", decimals=1074)
+    body = (tmp_path / "o.asc").read_text().splitlines()[-1]
+    assert body == "%.1074f %.1074f" % (2.0**-1074, -1.0 / 3.0)
+    assert body.split()[0].endswith("625")  # 2^-1074 needs all 1074 decimals
+    for decimals in (-1, 1075, 3_000_000_000):
+        with pytest.raises(ValueError, match=r"decimals must be in \[0, 1074\]"):
+            write_ascii_grid(r, tmp_path / "bad.asc", decimals=decimals)
+    assert not (tmp_path / "bad.asc").exists()
+
+
+@pytest.mark.parametrize(
+    "shape, cells",
+    [((1, 1), 1), ((7, 3), 1), ((7, 3), 5), ((7, 3), 6), ((7, 3), 21), ((7, 3), 10**6),
+     ((5, 40), 16), ((5, 40), 39), ((5, 40), 41), ((12, 9), 27), ((12, 9), 41)],
+)
+def test_row_bands_cover_rows_in_order(shape, cells):
+    nrows, ncols = shape
+    bands = raster.row_bands(shape, cells)
+    rows = max(1, cells // ncols)  # one row each when ncols > cells
+    assert bands[0].start == 0 and bands[-1].stop == nrows
+    for band, after in zip(bands, bands[1:]):
+        assert band.stop == after.start  # no gap, no overlap
+        assert band.stop - band.start == rows
+    assert 1 <= bands[-1].stop - bands[-1].start <= rows
+    assert all(band.step is None for band in bands)
+
+
+def test_row_bands_default_is_read_when_called():
+    assert raster.row_bands((100, 1000)) == raster.row_bands((100, 1000), 1 << 14)
+    with mock.patch.object(raster, "_BAND_CELLS", 2000):
+        assert raster.row_bands((5, 1000)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+
+
 def test_write_golden_bytes(tmp_path):
     r = make_raster([[1.0, -9999.0], [2.25, -0.5]], xll=10.5, yll=-3.0, cellsize=2.0)
     write_ascii_grid(r, tmp_path / "o.asc", decimals=2)

@@ -146,3 +146,5 @@ def test_spec_validation():
         FixtureSpec(shape=FixtureShape.RAMP, wse_levels=((100.0, 5.0), (10.0, 6.0)))
     with pytest.raises(ValueError):
         FixtureSpec(shape=FixtureShape.RAMP, slope=0.0)
+    with pytest.raises(ValueError, match="more bytes than this platform can address"):
+        FixtureSpec(shape=FixtureShape.RAMP, ncols=10**10, nrows=10**10)
