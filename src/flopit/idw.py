@@ -236,11 +236,15 @@ def idw_smooth(wse: Raster, params: IdwParams | None = None) -> Raster:
 
 
 def fill_stack(stack: HazardStack, params: IdwParams | None = None) -> HazardStack:
-    """Apply the configured IDW pass to every layer of a stack."""
+    """Apply the configured IDW pass to every layer of a stack; a stack it
+    leaves unchanged comes back itself rather than checked again."""
     params = params or IdwParams()
     op = idw_smooth if params.mode is IdwMode.SMOOTH_ALL else idw_fill
+    grids = [op(lyr.grid, params) for lyr in stack.layers]
+    if all(grid is lyr.grid for grid, lyr in zip(grids, stack.layers)):
+        return stack
     layers = tuple(
-        ReturnPeriodLayer(lyr.return_period_years, lyr.kind, op(lyr.grid, params))
-        for lyr in stack.layers
+        ReturnPeriodLayer(lyr.return_period_years, lyr.kind, grid)
+        for lyr, grid in zip(stack.layers, grids)
     )
     return HazardStack(dem=stack.dem, layers=layers)

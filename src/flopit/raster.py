@@ -16,9 +16,9 @@ blocks of a fixed ``2 * _BLOCK_CELLS`` bytes that both parses and checks
 them. So besides the file's bytes and the value array, the memory a read
 or a write holds is bounded, for a faulty body as much as for a good one.
 Each block is first parsed by numpy's C text reader as one line; a block
-it rejects is parsed again token by token with ``float()``. Both convert
-with the same correctly rounded strtod, so the token rules are those of
-``float()`` either way.
+it rejects is split into tokens and converted by ``float()``'s rules.
+Both use the same correctly rounded strtod, and either block then takes
+the same path: stored, checked for NaN/Inf and counted.
 """
 
 from __future__ import annotations
@@ -160,15 +160,21 @@ def _lines(data: bytes):
         yield data[pos:].decode("ascii"), len(data)
 
 
-def _parse_rejected(line: bytes) -> tuple[list[bytes], np.ndarray | None]:
-    """The tokens of a block that the C reader rejected and, unless one of
-    them is no number, their values by ``float()``'s rules, which also
-    read ``1_0`` as 10.0."""
+def _parse_rejected(line: bytes) -> tuple[np.ndarray, str | None]:
+    """The values of a block the C reader rejected, by ``float()``'s rules
+    (``1_0`` is 10.0), and None; or one zero per token and the first token
+    that is no number. The zeros are stored and counted like any values,
+    which is harmless: that token is always reported first."""
     tokens = line.split()
     try:
-        return tokens, np.array(tokens, dtype=np.float64)
+        return np.array(tokens, dtype=np.float64), None
     except ValueError:
-        return tokens, None
+        for tok in tokens:
+            try:
+                float(tok)
+            except ValueError:
+                return np.zeros(len(tokens)), tok.decode("ascii")
+        raise
 
 
 def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarray:
@@ -179,9 +185,9 @@ def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarr
     4-byte copy of it stay in a 2 MB L2 cache. With its whitespace turned
     into spaces, a block is one line to numpy's C text reader, so wrapped
     rows read as fast as whole ones; only a block that it rejects is split
-    into tokens (:func:`_parse_rejected`). The pass counts every token and
-    notes the first that is no number and the first NaN/Inf; a wrong count
-    is reported before either, an unparsable token before a non-finite one.
+    into tokens (:func:`_parse_rejected`). Either way its values are stored
+    while they fit, checked for NaN/Inf and counted; a wrong count is
+    reported first, then the first unparsable token, then the first NaN/Inf.
     """
     n_cells = hdr.ncols * hdr.nrows
     # a separator follows every token but the last; a body too short for
@@ -199,16 +205,8 @@ def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarr
         try:
             vals = np.loadtxt(io.BytesIO(line), dtype=np.float64, comments=None, ndmin=1)
         except ValueError:
-            tokens, vals = _parse_rejected(line)
-            if vals is None:
-                count += len(tokens)
-                for tok in tokens:
-                    try:
-                        float(tok)
-                    except ValueError:
-                        unparsable = unparsable or tok.decode("ascii")
-                        break
-                continue
+            vals, bad = _parse_rejected(line)
+            unparsable = unparsable or bad
         if count + len(vals) <= values.size:
             values[count:count + len(vals)] = vals
         finite = np.isfinite(vals)

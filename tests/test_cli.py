@@ -1,5 +1,6 @@
 """Command-line behaviour: wiring, exit codes, determinism."""
 
+import mmap
 import os
 import time
 import warnings
@@ -149,6 +150,27 @@ def test_layers_read_on_processes_are_read_only(fixture_dir, tmp_path, monkeypat
     for values, name in zip(seen, names):
         assert not values.flags.writeable
         assert np.array_equal(values, read_ascii_grid(fixture_dir / name).values)
+
+
+@pytest.mark.parametrize("size", [None, 8], ids=["no-map", "map-too-small"])
+def test_values_pickled_back_without_a_map_that_holds_them(
+    fixture_dir, tmp_path, monkeypatch, size
+):
+    # without a shared map large enough, a worker sends the values back pickled
+    assert main(interpolate_args(fixture_dir, tmp_path / "w1", "--workers", "1")) == 0
+    monkeypatch.setattr(flopit.cli, "_shared_map", lambda path: size and mmap.mmap(-1, size))
+    seen = []
+    validate = flopit.cli.validate_stack
+
+    def spy(dem, layers):
+        seen.extend([dem.values] + [layer.grid.values for layer in layers])
+        return validate(dem, layers)
+
+    monkeypatch.setattr(flopit.cli, "validate_stack", spy)
+    assert main(interpolate_args(fixture_dir, tmp_path / "w2", "--workers", "2")) == 0
+    assert len(seen) == 4 and not any(values.flags.writeable for values in seen)
+    for suffix in ("_prob.asc", "_rp.asc", "_clamp.asc", "_zones.asc"):
+        assert (tmp_path / f"w2{suffix}").read_bytes() == (tmp_path / f"w1{suffix}").read_bytes()
 
 
 def test_dead_worker_is_data_error(fixture_dir, tmp_path, capsys, monkeypatch):

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from flopit import IdwMode, IdwParams, idw, idw_fill, idw_smooth, raster
+from flopit import (
+    IdwMode, IdwParams, LayerKind, ReturnPeriodLayer, fill_stack, idw, idw_fill,
+    idw_smooth, raster, validate_stack,
+)
 from flopit.idw import _box_counts
 
 from conftest import gather_reference, make_raster
@@ -187,6 +190,28 @@ def test_nothing_to_fill_returns_input(rng):
     empty = make_raster(np.full((6, 6), NODATA))
     assert idw_fill(empty, IdwParams()) is empty
     assert idw_smooth(empty, IdwParams()) is empty
+
+
+def test_fill_stack_returns_a_stack_left_unchanged(rng):
+    dem = make_raster(np.zeros((6, 6)))
+    grids = [rng.uniform(t, t + 1, (6, 6)) for t in (1.0, 2.0)]
+
+    def stack_of(grids):
+        return validate_stack(dem, [
+            ReturnPeriodLayer(t, LayerKind.WSE, make_raster(g)) for t, g in zip((10, 100), grids)
+        ])
+
+    stack = stack_of(grids)
+    assert fill_stack(stack, IdwParams()) is stack
+    # smoothing changes every data cell, and a fillable hole changes its layer
+    smoothed = fill_stack(stack, IdwParams(mode=IdwMode.SMOOTH_ALL))
+    assert smoothed is not stack and smoothed.dem is dem
+    grids[1][2, 3] = NODATA
+    holed = stack_of(grids)
+    filled = fill_stack(holed, IdwParams())
+    assert filled is not holed and filled.periods == holed.periods
+    assert filled.layers[0].grid is holed.layers[0].grid
+    assert filled.layers[1].grid.data_mask.all()
 
 
 def test_repeated_runs_identical(rng):

@@ -16,6 +16,9 @@
 * a truncated or byte-mutated input grid never escapes the CLI's exit-code
   contract (0, 1, 2 or 3, no exception), and interpolate exits with the
   same code and error at 2 workers as at 1;
+* when 2 or 3 input grids are faulty at once, interpolate reports the
+  first fault in command-line order, with the same exit code and error at
+  3 workers as at 1;
 * IDW fill and smooth give the same bytes whether a cell whose nearest
   neighbourhood is full takes the fixed K-tap stencil or the gather, for
   any mask, radius, neighbour counts and row band;
@@ -266,6 +269,66 @@ def test_mutated_grid_stays_in_exit_contract(small_run, name, truncate, pos, byt
             outcomes.append((code, [line for line in lines if line.startswith("flopit")]))
     assert outcomes[0][0] in (0, 1, 2, 3)
     assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+_INPUTS = ("dem.asc", *_LAYERS)
+_FAULTS = ("token", "extra", "nan", "origin", "missing", "non-ascii")
+
+
+def _faulty(data: bytes, fault: str, i: int) -> bytes | None:
+    """The grid ``data`` with one fault at body token ``i``: an unparsable
+    token, an extra token, a NaN, a non-ASCII byte, or its origin one cell
+    west; None for a missing file."""
+    lines = data.split(b"\n")
+    head, tokens = lines[:6], b" ".join(lines[6:]).split()
+    if fault == "missing":
+        return None
+    if fault == "origin":
+        xll, cellsize = float(head[2].split()[1]), float(head[4].split()[1])
+        head[2] = f"XLLCORNER {xll - cellsize!r}".encode()
+    else:
+        edit = {"token": b"1x", "extra": tokens[i] + b" 1", "nan": b"nan",
+                "non-ascii": tokens[i] + b"\xe9"}
+        tokens[i] = edit[fault]
+    return b"\n".join(head + [b" ".join(tokens)]) + b"\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from(_INPUTS), min_size=2, max_size=3, unique=True),
+    st.lists(st.sampled_from(_FAULTS), min_size=3, max_size=3),
+    st.integers(0, 29),
+)
+def test_first_fault_in_cli_order_wins_across_workers(small_run, names, faults, i):
+    faulted = dict(zip(names, faults))
+    outcomes = []
+    with contextlib.ExitStack() as stack:
+        tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        for name in _INPUTS:
+            data = (small_run / name).read_bytes()
+            if name in faulted:
+                data = _faulty(data, faulted[name], i)
+            if data is not None:
+                (tmp / name).write_bytes(data)
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        argv = _argv(tmp, "dem.asc", tmp / "dem.asc", tmp / "out")
+        for workers in ("1", "3"):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv + ["--workers", workers])
+            lines = err.getvalue().splitlines()
+            outcomes.append((code, [line for line in lines if line.startswith("flopit")]))
+    assert outcomes[0] == outcomes[1]
+    # the first grid in CLI order that fails its read, or the first layer
+    # whose origin differs from the DEM's, is the one reported
+    shifted = faulted.get("dem.asc") == "origin"
+    first = next(
+        name for name in _INPUTS
+        if faulted.get(name, "origin") != "origin"
+        or name != "dem.asc" and (faulted.get(name) == "origin") != shifted
+    )
+    code, lines = outcomes[0]
+    assert code == (3 if faulted.get(first) == "missing" else 2)
+    assert len(lines) == 1 and first in lines[0]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
