@@ -328,24 +328,33 @@ def _format_rows(
     its row, '\\n'.
 
     Each cell owns one row of a byte matrix: its text, then a separator
-    in the last column. The zero bytes padding the text are dropped.
+    in the last column. A cell whose digits are those of the integer
+    ``q = |rint(v·10^d)|`` gets them one column at a time, split off by
+    floor division in the narrowest unsigned type that holds the block's
+    largest ``q``; a column above the d+1 digits that are always printed
+    keeps its digit only while value remains. Any other cell is printed
+    by ``%``. The zero bytes padding the text are dropped.
     """
     nod = vals == nodata
-    fast = np.zeros_like(nod)
-    n = np.zeros_like(vals)
-    if decimals <= 15:
+    if decimals > 15:
+        fast = np.zeros_like(nod)
+        n = np.zeros_like(vals)
+    else:
         with np.errstate(over="ignore", invalid="ignore"):
-            y = vals * 10.0**decimals
-            n = np.rint(y)
-            # 10^d is exact, so y is the exact x = v·10^d rounded once.
+            # 10^d is exact, so y is the exact x = |v|·10^d rounded once.
             # Below 2^52 the ties n ± 0.5 are doubles themselves and
             # rounding is monotone, so |y - n| < 0.5 puts x strictly
             # within 0.5 of n as well: x is no tie and %.{d}f, which
-            # rounds x itself, prints the digits of |n|.
-            fast = ~nod & (np.abs(y) < 2.0**52) & (np.abs(y - n) < 0.5)
-    q = np.where(fast, np.abs(n), 0)
-    q_max = int(q.max())
-    q = q.astype(np.min_scalar_type(q_max))  # narrow ints divide faster
+            # rounds x itself, prints the digits of n.
+            y = vals * 10.0**decimals
+            n = np.rint(np.abs(y, out=y))
+            fast = y < 2.0**52
+            y -= n
+            fast &= np.abs(y, out=y) < 0.5
+            fast &= ~nod
+        n[~fast] = 0
+    q_max = int(n.max())
+    q = n.astype(np.min_scalar_type(q_max))  # narrow ints divide faster
     ndig = max(decimals + 1, len(str(q_max)))
     slow = np.flatnonzero(~(fast | nod))
     texts = [(f"%.{decimals}f" % v).encode("ascii") for v in vals[slow].tolist()]
@@ -356,14 +365,21 @@ def _format_rows(
     mat = np.zeros((vals.size, width), dtype=np.uint8)
     mat[:, -1] = ord(" ")
     mat[ncols - 1::ncols, -1] = ord("\n")
-    mat[:, 0] = np.where(np.signbit(vals), ord("-"), 0)
+    mat[:, 0] = np.signbit(vals) * np.uint8(ord("-"))
     if decimals:
         mat[:, -2 - decimals] = ord(".")
+    ten = q.dtype.type(10)
     for k in range(ndig):
-        shown = q > 0  # beyond the last d+1 digits, only while value remains
-        q, digit = np.divmod(q, 10)
-        digit += ord("0")
-        mat[:, -2 - k - (0 < decimals <= k)] = digit if k <= decimals else shown * digit
+        col = mat[:, -2 - k - (0 < decimals <= k)]
+        high = q // ten
+        # above the d+1 digits always printed, only while value remains
+        shown = q > 0 if k > decimals else None
+        q -= high * ten  # this column's digit
+        q += ord("0")
+        col[...] = q
+        if shown is not None:
+            col *= shown
+        q = high
     nodata_row = np.zeros(width - 1, dtype=np.uint8)
     nodata_row[:len(nodata_text)] = np.frombuffer(nodata_text.encode("ascii"), np.uint8)
     mat[nod, :-1] = nodata_row

@@ -3,6 +3,7 @@ import pytest
 
 from flopit import GridDimensionError, GridHeader, GridParseError, Raster
 from flopit.idw import IdwParams, _offsets
+from flopit.raster import _format_geo
 
 
 def make_raster(values, nodata=-9999.0, cellsize=1.0, xll=0.0, yll=0.0):
@@ -125,6 +126,24 @@ def _parse_tokens(name: str, text: str, hdr: GridHeader) -> np.ndarray:
             f"NaN/Inf are not valid cell values"
         )
     return values
+
+
+def _reference_grid_text(raster, decimals):
+    """The grid text as formatted one cell at a time with ``%``."""
+    hdr = raster.header
+    nodata_text = _format_geo(hdr.nodata_value)
+    lines = [
+        f"NCOLS {hdr.ncols}",
+        f"NROWS {hdr.nrows}",
+        f"XLLCORNER {_format_geo(hdr.xllcorner)}",
+        f"YLLCORNER {_format_geo(hdr.yllcorner)}",
+        f"CELLSIZE {_format_geo(hdr.cellsize)}",
+        f"NODATA_VALUE {nodata_text}",
+    ]
+    fmt = f"%.{decimals}f"
+    for row in raster.values:
+        lines.append(" ".join(nodata_text if v == hdr.nodata_value else fmt % v for v in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 @pytest.fixture

@@ -59,10 +59,14 @@ from flopit import (  # noqa: E402
 from flopit import idw, probability, raster  # noqa: E402
 from flopit.curves import MIN_KNOT_GAP  # noqa: E402
 from flopit.hazard import MAX_ABS_ELEVATION  # noqa: E402
-from flopit.raster import _format_geo  # noqa: E402
 from flopit.cli import main  # noqa: E402
 
-from conftest import _parse_tokens, gather_reference, make_raster  # noqa: E402
+from conftest import (  # noqa: E402
+    _parse_tokens,
+    _reference_grid_text,
+    gather_reference,
+    make_raster,
+)
 
 NODATA = -9999.0
 
@@ -413,24 +417,6 @@ def test_idw_stencil_equals_gather(data):
 
 
 # -- ASCII grid writer -------------------------------------------------------
-
-
-def _reference_grid_text(raster, decimals):
-    """The grid text as formatted one cell at a time with ``%``."""
-    hdr = raster.header
-    nodata_text = _format_geo(hdr.nodata_value)
-    lines = [
-        f"NCOLS {hdr.ncols}",
-        f"NROWS {hdr.nrows}",
-        f"XLLCORNER {_format_geo(hdr.xllcorner)}",
-        f"YLLCORNER {_format_geo(hdr.yllcorner)}",
-        f"CELLSIZE {_format_geo(hdr.cellsize)}",
-        f"NODATA_VALUE {nodata_text}",
-    ]
-    fmt = f"%.{decimals}f"
-    for row in raster.values:
-        lines.append(" ".join(nodata_text if v == hdr.nodata_value else fmt % v for v in row))
-    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 @st.composite

@@ -19,7 +19,7 @@ from flopit import (
     write_ascii_grid,
 )
 
-from conftest import make_raster
+from conftest import _reference_grid_text, make_raster
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -140,6 +140,53 @@ def test_write_is_deterministic(tmp_path):
     write_ascii_grid(r, tmp_path / "a.asc", decimals=4)
     write_ascii_grid(r, tmp_path / "b.asc", decimals=4)
     assert (tmp_path / "a.asc").read_bytes() == (tmp_path / "b.asc").read_bytes()
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+@pytest.mark.parametrize("decimals", [0, 1, 6, 15])
+def test_write_bytes_equal_percent_formatting_at_block_scale(tmp_path, decimals, bits):
+    # two default blocks, of 218 and 2 rows; the printed integers
+    # q = |rint(v·10^d)| run log-uniformly up to the largest that needs
+    # `bits` bits (below 2^52, where % takes over), so every narrower q
+    # is there too and the block splits its digits in uint<bits>
+    shape = (220, 300)
+    assert len(raster.row_bands(shape, raster._BLOCK_CELLS)) == 2
+    rng = np.random.default_rng(1000 * bits + decimals)
+    q = np.floor((0.9 * min(2.0**bits, 2.0**52)) ** rng.random(shape))
+    assert np.min_scalar_type(int(q.max())).itemsize * 8 == bits
+    vals = np.where(rng.random(shape) < 0.5, -q, q) / 10.0**decimals
+    ties = (rng.integers(0, 10**6, 300) + 0.5) / 10.0**decimals
+    specials = np.concatenate([
+        ties, -ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+        [0.0, -0.0, -1e-300, -5e-324, 2.0**53 / 10.0**decimals, -1e300],
+        np.full(3000, -9999.0),
+    ])
+    flat = vals.reshape(-1)
+    flat[rng.choice(flat.size, specials.size, replace=False)] = specials
+    r = make_raster(vals)
+    write_ascii_grid(r, tmp_path / "g.asc", decimals)
+    assert (tmp_path / "g.asc").read_bytes() == _reference_grid_text(r, decimals)
+
+
+def test_write_holds_bounded_memory(tmp_path):
+    # in blocks of 10 rows, writing a grid ten times as tall must not take
+    # more memory than the blocks it is cut into
+    rng = np.random.default_rng(5)
+
+    def peak(nrows):
+        vals = rng.uniform(-100, 100, (nrows, 300))
+        vals[rng.random(vals.shape) < 0.1] = -9999.0
+        r = make_raster(vals)
+        tracemalloc.start()
+        try:
+            write_ascii_grid(r, tmp_path / "g.asc")
+        finally:
+            size = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return size
+
+    with mock.patch.object(raster, "_BLOCK_CELLS", 3000):
+        assert peak(1000) <= 1.2 * peak(100)
 
 
 def test_roundtrip_random_grids(tmp_path, rng):

@@ -1,5 +1,6 @@
 """Synthetic fixture generation and the scalar probability oracle."""
 
+import hashlib
 import json
 import math
 
@@ -135,6 +136,24 @@ def test_write_fixture_bytes_deterministic(tmp_path):
     write_fixture(spec, tmp_path / "b")
     for name in ("dem.asc", "wse_T10.asc", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_write_fixture_bytes_pinned(tmp_path):
+    # two writer blocks per grid (163 + 137 rows), negative cells in the DEM
+    # and nodata in every layer; the digests are those of the grids as
+    # written before the writer's digit kernel split digits by floor division
+    spec = FixtureSpec(shape=FixtureShape.NOISY_RAMP, ncols=400, nrows=300, seed=3)
+    write_fixture(spec, tmp_path)
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
+    }
+    assert digests == {
+        "dem.asc": "91e2b387ac47515455c0b68a700f6ae50ae2138a273347833a272d07b56c96e7",
+        "manifest.json": "736088899774089d114103ea1c7497500e1c8925048966dd2ccd381b9d4abd22",
+        "wse_T10.asc": "1e74dcce76ab49e0689e43082f818c2afbbcbacc03691c70c818946bca53111b",
+        "wse_T100.asc": "1c985fa20d1960d2eeef6d5c86fdd1825a2127496219c3af6000230775e04b0e",
+        "wse_T500.asc": "fcb69f0bc390dac1db7b52e440e08fcfc2813cc38abb90f747ebc636fa12b40d",
+    }
 
 
 def test_spec_validation():
