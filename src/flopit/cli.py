@@ -176,49 +176,42 @@ def _run_task(i: int):
     return _worker_task(i)
 
 
-def _shared_map(path: str) -> mmap.mmap | None:
-    """An anonymous shared map that can hold the values of the grid at
-    ``path``: a separator follows every token but the last, so a file of
-    b bytes holds at most (b + 1) // 2 cells. None for a missing or empty
-    file, whose read fails, or a map too large to make."""
-    try:
-        return mmap.mmap(-1, 8 * ((os.path.getsize(path) + 1) // 2))
-    except OSError:
-        return None
-
-
 def _read_forked(paths: list[str], procs: int):
     """The grids at ``paths``, read on ``procs`` forked processes, as an
     iterator in path order; it raises a grid's read error when it reaches
     that grid, or BrokenProcessPool if a worker died.
 
     The workers inherit ``read`` and all it reads, so only the grid index
-    is pickled to a worker. A worker copies the values into the grid's
-    shared map, made before the fork, so they are not pickled back. Fork
-    is safe here: this process then runs no thread but OpenBLAS's idle
-    ones.
+    is pickled to a worker. Each grid has a memory file, made before the
+    fork: its worker writes the values into it and returns the header,
+    and this process maps the file read-only, so a grid's memory lives as
+    long as its Raster. Fork is safe here: this process then runs no
+    thread but OpenBLAS's idle ones.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    maps = [_shared_map(path) for path in paths]
+    files = [open(os.memfd_create("flopit-grid"), "r+b") for _ in paths]
 
     def read(i: int):
         grid = read_ascii_grid(paths[i])
-        if maps[i] is None or grid.values.nbytes > len(maps[i]):  # grew since the map
-            return grid.header, grid.values
-        np.frombuffer(maps[i], count=grid.values.size)[:] = grid.values.ravel()
-        return grid.header, None
+        files[i].write(grid.values)  # from offset 0, looping on short writes
+        files[i].flush()
+        return grid.header
 
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(procs, fork, initializer=_adopt, initargs=(read,)) as pool:
-        futures = [pool.submit(_run_task, i) for i in range(len(paths))]
-    for future, shared in zip(futures, maps):
-        header, values = future.result()
-        if values is None:
-            values = np.frombuffer(shared, count=header.nrows * header.ncols)
-        # a Raster must stay read-only; unpickled and mapped arrays are writable
-        yield Raster(header, locked(values.reshape(header.shape)))
+    try:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(procs, fork, initializer=_adopt, initargs=(read,)) as pool:
+            futures = [pool.submit(_run_task, i) for i in range(len(paths))]
+        for future, file in zip(futures, files):
+            header = future.result()
+            with file:  # the map keeps the file's pages
+                values = mmap.mmap(file.fileno(), 8 * header.ncols * header.nrows,
+                                   access=mmap.ACCESS_READ)
+            yield Raster(header, locked(np.frombuffer(values).reshape(header.shape)))
+    finally:
+        for file in files:
+            file.close()
 
 
 def cmd_interpolate(args: argparse.Namespace) -> int:
@@ -234,7 +227,9 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         raise FlopitError(str(exc)) from None
     t0 = time.perf_counter()
     paths = [args.dem, *(path for _, _, path in args.layer)]
-    procs = pool_size(args.workers, len(paths))
+    # values come back from a worker through a memory file, so a platform
+    # without one reads in this process
+    procs = pool_size(args.workers, len(paths)) if hasattr(os, "memfd_create") else 1
     grids = _read_forked(paths, procs) if procs > 1 else map(read_ascii_grid, paths)
     dem = next(grids)
     layers = []
@@ -242,19 +237,19 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         if not grids_aligned(dem.header, grid.header):
             raise FlopitError(f"layer {path} is not aligned with the DEM")
         layers.append(ReturnPeriodLayer(t_years, kind, grid))
-    if procs > 1:
-        peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB on Linux
-        logger.info(
-            "read %d grids on %d processes in %.3f s; largest worker peak RSS %.1f MiB",
-            len(paths), procs, time.perf_counter() - t0, peak_kib / 1024,
-        )
+    peak_kib = max(resource.getrusage(who).ru_maxrss  # KiB on Linux
+                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    logger.info(
+        "read %d grids on %d process(es) in %.3f s; peak RSS %.1f MiB",
+        len(paths), procs, time.perf_counter() - t0, peak_kib / 1024,
+    )
 
     stack = validate_stack(dem, layers)
     logger.info("stack validated: %d layers, %dx%d cells",
                 len(stack.layers), dem.header.nrows, dem.header.ncols)
     filled = fill_stack(stack, idw)
-    # frees the raw and unfilled grids before evaluation; the reader holds
-    # the shared maps their values were read into
+    # frees the raw and unfilled grids before evaluation; a forked reader
+    # still holds the map of the last grid it yielded
     del layers, stack, grids
     pm = interpolate_map(filled, None, _METHODS[args.method], workers=args.workers)
     zones = derive_zones(filled)

@@ -1,6 +1,6 @@
 """Command-line behaviour: wiring, exit codes, determinism."""
 
-import mmap
+import gc
 import os
 import time
 import warnings
@@ -152,28 +152,36 @@ def test_layers_read_on_processes_are_read_only(fixture_dir, tmp_path, monkeypat
         assert np.array_equal(values, read_ascii_grid(fixture_dir / name).values)
 
 
-@pytest.mark.parametrize("size", [None, 8], ids=["no-map", "map-too-small"])
-def test_values_pickled_back_without_a_map_that_holds_them(
-    fixture_dir, tmp_path, monkeypatch, size
-):
-    # without a shared map large enough, a worker sends the values back pickled
+def test_read_in_the_cli_process_without_memory_files(fixture_dir, tmp_path, monkeypatch):
+    # a worker hands its values back through a memory file; a platform
+    # without them reads every grid in the CLI process
     assert main(interpolate_args(fixture_dir, tmp_path / "w1", "--workers", "1")) == 0
-    monkeypatch.setattr(flopit.cli, "_shared_map", lambda path: size and mmap.mmap(-1, size))
-    seen = []
-    validate = flopit.cli.validate_stack
+    pids = []
+    read = flopit.cli.read_ascii_grid
 
-    def spy(dem, layers):
-        seen.extend([dem.values] + [layer.grid.values for layer in layers])
-        return validate(dem, layers)
+    def spy(path):
+        pids.append(os.getpid())
+        return read(path)
 
-    monkeypatch.setattr(flopit.cli, "validate_stack", spy)
+    monkeypatch.setattr(flopit.cli, "read_ascii_grid", spy)
+    monkeypatch.delattr(os, "memfd_create")
     assert main(interpolate_args(fixture_dir, tmp_path / "w2", "--workers", "2")) == 0
-    assert len(seen) == 4 and not any(values.flags.writeable for values in seen)
+    assert pids == [os.getpid()] * 4
     for suffix in ("_prob.asc", "_rp.asc", "_clamp.asc", "_zones.asc"):
         assert (tmp_path / f"w2{suffix}").read_bytes() == (tmp_path / f"w1{suffix}").read_bytes()
 
 
-def test_dead_worker_is_data_error(fixture_dir, tmp_path, capsys, monkeypatch):
+def _memory_files() -> list[str]:
+    links = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            links.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the listing's own descriptor, closed since
+            pass
+    return [link for link in links if link.startswith("/memfd:")]
+
+
+def _die_in_workers(monkeypatch):
     parent = os.getpid()
     read = flopit.cli.read_ascii_grid
 
@@ -183,6 +191,45 @@ def test_dead_worker_is_data_error(fixture_dir, tmp_path, capsys, monkeypatch):
         return read(path)
 
     monkeypatch.setattr(flopit.cli, "read_ascii_grid", die_in_worker)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("fault, code", [
+    ("none", 0),
+    ("missing-layer", 3),
+    ("shifted-layer", 2),
+    ("unparsable-last-layer", 2),
+    ("dead-worker", 2),
+])
+def test_no_memory_file_outlives_a_run(fixture_dir, tmp_path, monkeypatch, fault, code):
+    t100, t500 = fixture_dir / "wse_T100.asc", fixture_dir / "wse_T500.asc"
+    if fault == "missing-layer":
+        t500.unlink()
+    elif fault == "shifted-layer":
+        t100.write_bytes(t100.read_bytes().replace(b"XLLCORNER 0\n", b"XLLCORNER 1\n"))
+    elif fault == "unparsable-last-layer":
+        t500.write_bytes(t500.read_bytes().rstrip() + b"x\n")
+    elif fault == "dead-worker":
+        _die_in_workers(monkeypatch)
+    held = []
+    validate = flopit.cli.validate_stack
+
+    def spy(dem, layers):
+        held.append(len(_memory_files()))
+        return validate(dem, layers)
+
+    monkeypatch.setattr(flopit.cli, "validate_stack", spy)
+    assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == code
+    # each grid read holds its memory file through its map
+    assert held == ([4] if code == 0 else [])
+    # the maps of grids read before a fault live on in the traceback's
+    # frames until the collector frees them
+    gc.collect()
+    assert _memory_files() == []
+
+
+def test_dead_worker_is_data_error(fixture_dir, tmp_path, capsys, monkeypatch):
+    _die_in_workers(monkeypatch)
     assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == 2
     err = capsys.readouterr().err
     assert err.startswith("flopit: error: a worker process died: ")
