@@ -11,7 +11,6 @@ import argparse
 import logging
 import mmap
 import os
-import resource
 import sys
 import time
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
@@ -35,12 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
-
-_METHODS = {
-    "spline": InterpolationMethod.MONOTONE_CUBIC,
-    "loglinear": InterpolationMethod.LOG_LINEAR,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; we use 1
@@ -118,13 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="T:KIND:PATH",
         help="flood layer: return period, 'depth' or 'wse', raster path; repeatable",
     )
-    p_int.add_argument("--method", default="spline", choices=sorted(_METHODS))
+    p_int.add_argument(
+        "--method", default=InterpolationMethod.MONOTONE_CUBIC.value,
+        choices=sorted(m.value for m in InterpolationMethod),
+    )
     p_int.add_argument("--out", required=True, help="output path prefix")
-    p_int.add_argument("--idw-power", type=float, default=2.0)
-    p_int.add_argument("--idw-radius", type=int, default=10, metavar="CELLS")
-    p_int.add_argument("--idw-max-neighbors", type=int, default=16)
-    p_int.add_argument("--idw-min-neighbors", type=int, default=1)
-    p_int.add_argument("--idw-mode", default="fill", choices=["fill", "smooth"])
+    p_int.add_argument("--idw-power", type=float, default=IdwParams.power)
+    p_int.add_argument(
+        "--idw-radius", type=int, default=IdwParams.radius_cells, metavar="CELLS"
+    )
+    p_int.add_argument("--idw-max-neighbors", type=int, default=IdwParams.max_neighbors)
+    p_int.add_argument("--idw-min-neighbors", type=int, default=IdwParams.min_neighbors)
+    p_int.add_argument(
+        "--idw-mode", default=IdwParams.mode.value, choices=[m.value for m in IdwMode]
+    )
     p_int.add_argument(
         "--workers",
         type=_non_negative_int,
@@ -148,10 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--shape", default="ramp", choices=[s.value for s in FixtureShape]
     )
     p_syn.add_argument("--out", required=True, help="output directory")
-    p_syn.add_argument("--ncols", type=int, default=50)
-    p_syn.add_argument("--nrows", type=int, default=40)
-    p_syn.add_argument("--slope", type=float, default=0.5)
-    p_syn.add_argument("--seed", type=int, default=0)
+    p_syn.add_argument("--ncols", type=int, default=FixtureSpec.ncols)
+    p_syn.add_argument("--nrows", type=int, default=FixtureSpec.nrows)
+    p_syn.add_argument("--slope", type=float, default=FixtureSpec.slope)
+    p_syn.add_argument("--seed", type=int, default=FixtureSpec.seed)
     p_syn.add_argument(
         "--level",
         action="append",
@@ -163,17 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the task of a forked worker process, adopted as the worker starts
-_worker_task = None
-
-
-def _adopt(task) -> None:
-    global _worker_task
-    _worker_task = task
-
-
-def _run_task(i: int):
-    return _worker_task(i)
+def _read_into(path: str, fd: int):
+    """Parse the grid at ``path``, write its values into the file ``fd``
+    and return its header."""
+    grid = read_ascii_grid(path)
+    with open(fd, "wb", closefd=False) as file:
+        file.write(grid.values)  # from offset 0, looping on short writes
+    return grid.header
 
 
 def _read_forked(paths: list[str], procs: int):
@@ -181,28 +177,20 @@ def _read_forked(paths: list[str], procs: int):
     iterator in path order; it raises a grid's read error when it reaches
     that grid, or BrokenProcessPool if a worker died.
 
-    The workers inherit ``read`` and all it reads, so only the grid index
-    is pickled to a worker. Each grid has a memory file, made before the
-    fork: its worker writes the values into it and returns the header,
-    and this process maps the file read-only, so a grid's memory lives as
-    long as its Raster. Fork is safe here: this process then runs no
-    thread but OpenBLAS's idle ones.
+    Each grid has a memory file, made before the fork, so every worker
+    inherits its descriptor. A worker is sent only a grid's path and that
+    descriptor, and runs ``_read_into``; this process maps the file
+    read-only, so a grid's memory lives as long as its Raster. Fork is
+    safe here: this process then runs no thread but OpenBLAS's idle ones.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     files = [open(os.memfd_create("flopit-grid"), "r+b") for _ in paths]
-
-    def read(i: int):
-        grid = read_ascii_grid(paths[i])
-        files[i].write(grid.values)  # from offset 0, looping on short writes
-        files[i].flush()
-        return grid.header
-
     try:
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(procs, fork, initializer=_adopt, initargs=(read,)) as pool:
-            futures = [pool.submit(_run_task, i) for i in range(len(paths))]
+        with ProcessPoolExecutor(procs, multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_read_into, path, file.fileno())
+                       for path, file in zip(paths, files)]
         for future, file in zip(futures, files):
             header = future.result()
             with file:  # the map keeps the file's pages
@@ -237,12 +225,14 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         if not grids_aligned(dem.header, grid.header):
             raise FlopitError(f"layer {path} is not aligned with the DEM")
         layers.append(ReturnPeriodLayer(t_years, kind, grid))
-    peak_kib = max(resource.getrusage(who).ru_maxrss  # KiB on Linux
-                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-    logger.info(
-        "read %d grids on %d process(es) in %.3f s; peak RSS %.1f MiB",
-        len(paths), procs, time.perf_counter() - t0, peak_kib / 1024,
-    )
+    try:  # this process's own peak, which starts afresh at exec
+        with open("/proc/self/status") as status:
+            kib = [line.split()[1] for line in status if line.startswith("VmHWM:")]
+    except OSError:  # no /proc: the read line goes without a peak
+        kib = []
+    peak = f"; peak RSS {int(kib[0]) / 1024:.1f} MiB" if kib else ""
+    logger.info("read %d grids on %d process(es) in %.3f s%s",
+                len(paths), procs, time.perf_counter() - t0, peak)
 
     stack = validate_stack(dem, layers)
     logger.info("stack validated: %d layers, %dx%d cells",
@@ -251,7 +241,8 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     # frees the raw and unfilled grids before evaluation; a forked reader
     # still holds the map of the last grid it yielded
     del layers, stack, grids
-    pm = interpolate_map(filled, None, _METHODS[args.method], workers=args.workers)
+    method = InterpolationMethod(args.method)
+    pm = interpolate_map(filled, None, method, workers=args.workers)
     zones = derive_zones(filled)
 
     prefix = args.out

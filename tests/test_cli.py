@@ -1,7 +1,11 @@
 """Command-line behaviour: wiring, exit codes, determinism."""
 
 import gc
+import inspect
 import os
+import re
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -12,7 +16,11 @@ import pytest
 import flopit.cli
 from flopit import read_ascii_grid, write_ascii_grid
 from flopit.cli import main
+from flopit.curves import InterpolationMethod
+from flopit.idw import IdwParams
+from flopit.probability import interpolate_map
 from flopit.raster import Raster, locked
+from flopit.synth import FixtureShape, FixtureSpec
 
 from conftest import make_raster
 
@@ -164,7 +172,7 @@ def test_read_in_the_cli_process_without_memory_files(fixture_dir, tmp_path, mon
         return read(path)
 
     monkeypatch.setattr(flopit.cli, "read_ascii_grid", spy)
-    monkeypatch.delattr(os, "memfd_create")
+    monkeypatch.delattr(os, "memfd_create", raising=False)
     assert main(interpolate_args(fixture_dir, tmp_path / "w2", "--workers", "2")) == 0
     assert pids == [os.getpid()] * 4
     for suffix in ("_prob.asc", "_rp.asc", "_clamp.asc", "_zones.asc"):
@@ -193,13 +201,18 @@ def _die_in_workers(monkeypatch):
     monkeypatch.setattr(flopit.cli, "read_ascii_grid", die_in_worker)
 
 
+# without os.memfd_create every grid is read in the CLI process
+_forks = pytest.mark.skipif(not hasattr(os, "memfd_create"),
+                            reason="reads in the CLI process without os.memfd_create")
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 @pytest.mark.parametrize("fault, code", [
-    ("none", 0),
+    pytest.param("none", 0, marks=_forks),
     ("missing-layer", 3),
     ("shifted-layer", 2),
     ("unparsable-last-layer", 2),
-    ("dead-worker", 2),
+    pytest.param("dead-worker", 2, marks=_forks),
 ])
 def test_no_memory_file_outlives_a_run(fixture_dir, tmp_path, monkeypatch, fault, code):
     t100, t500 = fixture_dir / "wse_T100.asc", fixture_dir / "wse_T500.asc"
@@ -228,6 +241,7 @@ def test_no_memory_file_outlives_a_run(fixture_dir, tmp_path, monkeypatch, fault
     assert _memory_files() == []
 
 
+@_forks
 def test_dead_worker_is_data_error(fixture_dir, tmp_path, capsys, monkeypatch):
     _die_in_workers(monkeypatch)
     assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == 2
@@ -235,6 +249,70 @@ def test_dead_worker_is_data_error(fixture_dir, tmp_path, capsys, monkeypatch):
     assert err.startswith("flopit: error: a worker process died: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "x_prob.asc").exists()
+
+
+def _run_cli(launcher: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``launcher`` as a Python script in a fresh process, with
+    ``argv`` as its arguments and this flopit on its path."""
+    src = str(Path(flopit.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", launcher, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_cli_runs_without_the_resource_module(fixture_dir, tmp_path):
+    # resource is POSIX-only; None in sys.modules makes its import fail
+    run = _run_cli(
+        "import sys; sys.modules['resource'] = None\n"
+        "from flopit.cli import main; sys.exit(main(sys.argv[1:]))",
+        *interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2"),
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "x_prob.asc").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_read_peak_leaves_out_the_launcher(fixture_dir, tmp_path):
+    # the launcher touches 256 MiB, then execs the CLI in its own process:
+    # ru_maxrss carries that peak across exec, VmHWM starts afresh
+    run = _run_cli(
+        "import os, sys; held = b'1' * 2**28\n"
+        "os.execv(sys.executable, [sys.executable, '-m', 'flopit.cli', *sys.argv[1:]])",
+        *interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2"),
+    )
+    assert run.returncode == 0, run.stderr
+    peak = re.search(r"read 4 grids on \d+ process\(es\) in \S+ s; peak RSS (\S+) MiB\n",
+                     run.stderr)
+    assert peak, run.stderr
+    assert float(peak[1]) < 256
+
+
+def test_cli_defaults_are_the_library_defaults(fixture_dir, tmp_path, monkeypatch):
+    seen = {}
+    fill, interpolate, write = (flopit.cli.fill_stack, flopit.cli.interpolate_map,
+                                flopit.cli.write_fixture)
+
+    def fill_spy(stack, idw):
+        seen["idw"] = idw
+        return fill(stack, idw)
+
+    def interpolate_spy(stack, params, method, workers):
+        seen["method"] = method
+        return interpolate(stack, params, method, workers=workers)
+
+    def write_spy(spec, out):
+        seen["spec"] = spec
+        return write(spec, out)
+
+    monkeypatch.setattr(flopit.cli, "fill_stack", fill_spy)
+    monkeypatch.setattr(flopit.cli, "interpolate_map", interpolate_spy)
+    monkeypatch.setattr(flopit.cli, "write_fixture", write_spy)
+    assert main(interpolate_args(fixture_dir, tmp_path / "x")) == 0
+    assert main(["synth", "--shape", "valley", "--out", str(tmp_path / "fx")]) == 0
+    assert seen["idw"] == IdwParams()
+    method = inspect.signature(interpolate_map).parameters["method"].default
+    assert seen["method"] is method is InterpolationMethod.MONOTONE_CUBIC
+    assert seen["spec"] == FixtureSpec(FixtureShape.VALLEY)
 
 
 def test_grids_written_in_the_cli_process(fixture_dir, tmp_path, monkeypatch):
