@@ -258,9 +258,11 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     threads = pool_size(args.workers, len(outputs))
     with ThreadPoolExecutor(threads) as pool:
         list(pool.map(lambda output: write_ascii_grid(*output), outputs))
+    seconds = time.perf_counter() - t_write
+    mb = sum(os.path.getsize(path) for _, path, _ in outputs) / 1e6
     logger.info(
-        "wrote %d grids on %d thread(s) in %.3f s",
-        len(outputs), threads, time.perf_counter() - t_write,
+        "wrote %d grids (%.1f MB) on %d thread(s) in %.3f s, %.0f MB/s",
+        len(outputs), mb, threads, seconds, mb / seconds if seconds > 0 else float("inf"),
     )
     elapsed = time.perf_counter() - t0
 

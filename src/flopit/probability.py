@@ -43,8 +43,11 @@ CLAMP_LOW = Clamped.LOW.value
 
 def pool_size(workers: int, n_tasks: int) -> int:
     """Workers for ``n_tasks`` tasks at a requested ``workers`` (0 = one
-    per CPU): at most one per task and one per CPU."""
-    cpus = os.cpu_count() or 1
+    per CPU): at most one per task and one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     return min(workers or cpus, n_tasks, cpus)
 
 

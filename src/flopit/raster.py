@@ -11,9 +11,10 @@ than silently converted. On output each data cell is exactly what
 ``%.{decimals}f`` prints for it.
 
 Both directions work on the body in blocks: a write in the row bands of
-:func:`row_bands` at ``_BLOCK_CELLS`` cells, a read in a single pass over
-blocks of a fixed ``2 * _BLOCK_CELLS`` bytes that both parses and checks
-them. So besides the file's bytes and the value array, the memory a read
+:func:`row_bands` at ``_BLOCK_CELLS`` cells, with no padding to drop
+from a block whose cells all print at one length; a read in a single
+pass over blocks of a fixed ``2 * _BLOCK_CELLS`` bytes that both parses
+and checks them. So besides the file's bytes and the value array, the memory a read
 or a write holds is bounded, for a faulty body as much as for a good one.
 Each block is first parsed by numpy's C text reader as one line; a block
 it rejects is split into tokens and converted by ``float()``'s rules.
@@ -333,9 +334,16 @@ def _format_rows(
     floor division in the narrowest unsigned type that holds the block's
     largest ``q``; a column above the d+1 digits that are always printed
     keeps its digit only while value remains. Any other cell is printed
-    by ``%``. The zero bytes padding the text are dropped.
+    by ``%``. When every cell is printed from ``q`` with one sign and one
+    digit count, the matrix is exactly as wide as each cell's text and
+    separator, and every byte of it is written; otherwise it is as wide
+    as the longest text, and the zero bytes padding the shorter ones are
+    dropped. A block of nodata only is one row's text repeated.
     """
     nod = vals == nodata
+    if nod.all():
+        row = " ".join([nodata_text] * ncols) + "\n"
+        return row.encode("ascii") * (vals.size // ncols)
     if decimals > 15:
         fast = np.zeros_like(nod)
         n = np.zeros_like(vals)
@@ -356,16 +364,28 @@ def _format_rows(
     q_max = int(n.max())
     q = n.astype(np.min_scalar_type(q_max))  # narrow ints divide faster
     ndig = max(decimals + 1, len(str(q_max)))
-    slow = np.flatnonzero(~(fast | nod))
-    texts = [(f"%.{decimals}f" % v).encode("ascii") for v in vals[slow].tolist()]
-    lens = np.array([len(t) for t in texts], dtype=np.intp)
-    width = 1 + max(1 + ndig + (decimals > 0), len(nodata_text), lens.max(initial=0))
+    neg = np.signbit(vals)
+    # every cell has a sign or none, and exactly ndig digits
+    exact = (
+        fast.all()
+        and (neg.all() or not neg.any())
+        and (ndig == decimals + 1 or int(q.min()) >= 10 ** (ndig - 1))
+    )
+    sign = not exact or bool(neg[0])
+    if exact:
+        mat = np.empty((vals.size, sign + ndig + (decimals > 0) + 1), dtype=np.uint8)
+    else:
+        slow = np.flatnonzero(~(fast | nod))
+        texts = [(f"%.{decimals}f" % v).encode("ascii") for v in vals[slow].tolist()]
+        lens = np.array([len(t) for t in texts], dtype=np.intp)
+        width = 1 + max(1 + ndig + (decimals > 0), len(nodata_text), lens.max(initial=0))
+        mat = np.zeros((vals.size, width), dtype=np.uint8)
 
     # sign, digits and point go into every row; other rows are then redone
-    mat = np.zeros((vals.size, width), dtype=np.uint8)
     mat[:, -1] = ord(" ")
     mat[ncols - 1::ncols, -1] = ord("\n")
-    mat[:, 0] = np.signbit(vals) * np.uint8(ord("-"))
+    if sign:
+        mat[:, 0] = neg * np.uint8(ord("-"))
     if decimals:
         mat[:, -2 - decimals] = ord(".")
     ten = q.dtype.type(10)
@@ -373,13 +393,15 @@ def _format_rows(
         col = mat[:, -2 - k - (0 < decimals <= k)]
         high = q // ten
         # above the d+1 digits always printed, only while value remains
-        shown = q > 0 if k > decimals else None
+        shown = q > 0 if k > decimals and not exact else None
         q -= high * ten  # this column's digit
         q += ord("0")
         col[...] = q
         if shown is not None:
             col *= shown
         q = high
+    if exact:
+        return mat.tobytes()
     nodata_row = np.zeros(width - 1, dtype=np.uint8)
     nodata_row[:len(nodata_text)] = np.frombuffer(nodata_text.encode("ascii"), np.uint8)
     mat[nod, :-1] = nodata_row

@@ -59,18 +59,19 @@ def compare_zones(
     if not grids_aligned(probability.header, zones.header):
         raise AlignmentError("probability and zone rasters are not aligned")
     p_all, t_all = probability.values, zones.values
-    for name, grid, ok, rule in (
-        ("probability raster", probability, (p_all > 0) & (p_all < 1), "outside (0, 1)"),
-        ("zone raster", zones, t_all > 1, "not above 1 year"),
+    p_data, t_data = probability.data_mask, zones.data_mask
+    for name, values, data, ok, rule in (
+        ("probability raster", p_all, p_data, (p_all > 0) & (p_all < 1), "outside (0, 1)"),
+        ("zone raster", t_all, t_data, t_all > 1, "not above 1 year"),
     ):
-        wrong = grid.data_mask & ~ok
+        wrong = data & ~ok
         if wrong.any():
             r, c = np.argwhere(wrong)[0]
             raise FlopitError(
-                f"{name}: value {grid.values[r, c]:g} at cell ({r}, {c}) is {rule}"
+                f"{name}: value {values[r, c]:g} at cell ({r}, {c}) is {rule}"
             )
 
-    both = probability.data_mask & zones.data_mask
+    both = p_data & t_data
     p = probability.values[both]
     zone_of = zones.values[both]
     stats = []

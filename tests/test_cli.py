@@ -287,6 +287,19 @@ def test_read_peak_leaves_out_the_launcher(fixture_dir, tmp_path):
     assert float(peak[1]) < 256
 
 
+def test_write_line_reports_bytes_and_rate(fixture_dir, tmp_path, capsys):
+    assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == 0
+    err = capsys.readouterr().err
+    wrote = re.search(
+        r"flopit.cli: wrote 4 grids \((\S+) MB\) on 2 thread\(s\) in \S+ s, (\S+) MB/s\n", err
+    )
+    assert wrote, err
+    size = sum(os.path.getsize(tmp_path / f"x_{name}.asc")
+               for name in ("prob", "rp", "clamp", "zones"))
+    assert wrote[1] == f"{size / 1e6:.1f}"
+    assert float(wrote[2]) > 0
+
+
 def test_cli_defaults_are_the_library_defaults(fixture_dir, tmp_path, monkeypatch):
     seen = {}
     fill, interpolate, write = (flopit.cli.fill_stack, flopit.cli.interpolate_map,

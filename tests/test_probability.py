@@ -234,7 +234,7 @@ def test_threads_capped_at_cpus_and_bands(monkeypatch):
         return pool(max_workers)
 
     monkeypatch.setattr(probability, "ThreadPoolExecutor", spy)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for workers in (64, 0, 1):
         interpolate_map(stack, None, SPLINE, workers=workers)  # a single band
     # 60 bands of one 8-cell row
@@ -242,6 +242,15 @@ def test_threads_capped_at_cpus_and_bands(monkeypatch):
     for workers in (64, 0, 1):
         interpolate_map(stack, None, SPLINE, workers=workers)
     assert asked == [1, 1, 1, 2, 2, 1]
+
+
+def test_pool_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    # a process pinned to one of the host's 64 CPUs gets one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    assert [probability.pool_size(w, 8) for w in (0, 1, 4)] == [1, 1, 1]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert [probability.pool_size(w, 8) for w in (0, 1, 4)] == [8, 1, 4]
 
 
 def test_repeated_runs_bit_identical():

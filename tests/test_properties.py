@@ -23,7 +23,8 @@
   neighbourhood is full takes the fixed K-tap stencil or the gather, for
   any mask, radius, neighbour counts and row band;
 * the grid writer's bytes equal ``%``-formatting each cell, for every
-  ``decimals`` and wherever the row blocks end;
+  ``decimals`` and wherever the row blocks end, also in blocks whose cells
+  all print at one length and in blocks that miss that by one cell;
 * the grid reader's values, or its exception class and message, equal
   those of parsing the whole body at once, wherever the blocks end, for
   tokens at the edges of what numpy's C reader and ``float()`` accept.
@@ -449,6 +450,62 @@ def test_writer_bytes_equal_percent_formatting(tmp_path_factory, data):
     vals = data.draw(hnp.arrays(np.float64, shape, elements=written_cells(decimals, nodata)))
     block_cells = data.draw(st.integers(1, 12))  # whole rows, often fewer than the grid's
     r = make_raster(vals, nodata, cellsize=0.5, xll=-3.25, yll=1e20)
+    path = tmp_path_factory.mktemp("w") / "g.asc"
+    with mock.patch.object(raster, "_BLOCK_CELLS", block_cells):
+        write_ascii_grid(r, path, decimals)
+    assert path.read_bytes() == _reference_grid_text(r, decimals)
+
+
+@st.composite
+def one_length_grids(draw, decimals, nodata):
+    """Grids whose cells all print text of one length, or all but one:
+    all nodata; or all of one sign, each printed with the same digit
+    count, every cell perhaps reaching it by a rounding carry."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    n = shape[0] * shape[1]
+    kind = draw(st.sampled_from(["positive", "negative", "carry", "nodata"]))
+    if kind == "nodata":
+        ndig = decimals + 1
+        vals = np.full(n, nodata)
+    else:
+        # digits printed; q stays below 2^51, so every cell is printed
+        # from its digits
+        ndig = draw(st.integers(max(decimals + 1, 1 + (kind == "carry")), min(decimals + 4, 16)))
+        lo = 0 if ndig == decimals + 1 else 10 ** (ndig - 1)
+        off = draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 0.45)))
+        if kind == "carry":  # 9.9999996 prints as 10.000000
+            q = 10.0 ** (ndig - 1) - np.maximum(off, 0.05)
+        else:
+            ints = st.integers(lo, min(10**ndig - 1, 2**51))
+            q = np.array(draw(st.lists(ints, min_size=n, max_size=n)), float)
+            q += np.where(q > lo, -off, off)
+        vals = q / 10.0**decimals
+        if kind == "negative":
+            vals = -vals
+            if ndig == decimals + 1:  # -0 prints as many digits as zero
+                zeros = draw(hnp.arrays(bool, n))
+                vals[zeros] = draw(st.sampled_from([-0.0, -5e-324]))
+    miss = draw(st.sampled_from(["none", "digit", "sign", "nodata", "percent"]))
+    if miss != "none":
+        i = draw(st.integers(0, n - 1))
+        v = 1.0 if vals[i] == nodata else vals[i]
+        vals[i] = {
+            "digit": np.copysign(10.0 ** (ndig - decimals), v),
+            "sign": -v,
+            "nodata": nodata,
+            "percent": draw(st.sampled_from([np.copysign(1e20, v), 0.5, -2.5])),
+        }[miss]
+    return vals.reshape(shape)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_writer_bytes_equal_percent_formatting_in_one_length_blocks(tmp_path_factory, data):
+    decimals = data.draw(st.sampled_from([0, 1, 6, 15]))
+    nodata = data.draw(st.sampled_from([-9999.0, 0.0, -1.5e300]))
+    vals = data.draw(one_length_grids(decimals, nodata))
+    block_cells = data.draw(st.integers(1, vals.size))
+    r = make_raster(vals, nodata)
     path = tmp_path_factory.mktemp("w") / "g.asc"
     with mock.patch.object(raster, "_BLOCK_CELLS", block_cells):
         write_ascii_grid(r, path, decimals)

@@ -170,13 +170,20 @@ def test_write_bytes_equal_percent_formatting_at_block_scale(tmp_path, decimals,
 
 def test_write_holds_bounded_memory(tmp_path):
     # in blocks of 10 rows, writing a grid ten times as tall must not take
-    # more memory than the blocks it is cut into
+    # more memory than the blocks it is cut into, whether a block's cells
+    # print at many lengths or all at one
     rng = np.random.default_rng(5)
 
-    def peak(nrows):
+    def mixed(nrows):
         vals = rng.uniform(-100, 100, (nrows, 300))
         vals[rng.random(vals.shape) < 0.1] = -9999.0
-        r = make_raster(vals)
+        return vals
+
+    def one_length(nrows):  # "dd.dddddd" in every cell
+        return rng.uniform(10, 99, (nrows, 300))
+
+    def peak(values, nrows):
+        r = make_raster(values(nrows))
         tracemalloc.start()
         try:
             write_ascii_grid(r, tmp_path / "g.asc")
@@ -186,7 +193,8 @@ def test_write_holds_bounded_memory(tmp_path):
         return size
 
     with mock.patch.object(raster, "_BLOCK_CELLS", 3000):
-        assert peak(1000) <= 1.2 * peak(100)
+        for values in (mixed, one_length):
+            assert peak(values, 1000) <= 1.2 * peak(values, 100)
 
 
 def test_roundtrip_random_grids(tmp_path, rng):
