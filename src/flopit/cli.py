@@ -19,7 +19,7 @@ import numpy as np
 
 from .curves import InterpolationMethod
 from .errors import FlopitError
-from .hazard import LayerKind, ReturnPeriodLayer, validate_stack
+from .hazard import LayerKind, ReturnPeriodLayer, check_periods, validate_stack
 from .idw import IdwMode, IdwParams, fill_stack
 from .probability import derive_zones, interpolate_map, pool_size
 from .raster import (
@@ -34,13 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits with 2; we use 1
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
 
 def _parse_layer(text: str) -> tuple[float, LayerKind, str]:
     parts = text.split(":", 2)
@@ -89,7 +82,7 @@ def _parse_level(text: str) -> tuple[float, float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="flopit", description=__doc__)
+    parser = argparse.ArgumentParser(prog="flopit", description=__doc__)
     parser.add_argument(
         "--log-level",
         default="info",
@@ -102,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         "interpolate",
         help="interpolate a continuous flood probability map",
     )
+    p_int.set_defaults(run=cmd_interpolate)
     p_int.add_argument("--dem", required=True, help="DEM raster (ESRI ASCII grid)")
     p_int.add_argument(
         "--layer",
@@ -139,11 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_cmp = sub.add_parser("compare", help="per-zone statistics of a probability map")
+    p_cmp.set_defaults(run=cmd_compare)
     p_cmp.add_argument("--prob", required=True, help="probability raster")
     p_cmp.add_argument("--zones", required=True, help="zone raster")
     p_cmp.add_argument("--out", required=True, help="output CSV path")
 
     p_syn = sub.add_parser("synth", help="write a synthetic terrain fixture")
+    p_syn.set_defaults(run=cmd_synth)
     p_syn.add_argument(
         "--shape", default="ramp", choices=[s.value for s in FixtureShape]
     )
@@ -174,8 +170,9 @@ def _read_into(path: str, fd: int):
 
 def _read_forked(paths: list[str], procs: int):
     """The grids at ``paths``, read on ``procs`` forked processes, as an
-    iterator in path order; it raises a grid's read error when it reaches
-    that grid, or BrokenProcessPool if a worker died.
+    iterator in path order. Every grid is read before the first is
+    yielded; ``Executor.map`` then raises a grid's read error, or
+    BrokenProcessPool if a worker died, when the iterator reaches it.
 
     Each grid has a memory file, made before the fork, so every worker
     inherits its descriptor. A worker is sent only a grid's path and that
@@ -189,10 +186,8 @@ def _read_forked(paths: list[str], procs: int):
     files = [open(os.memfd_create("flopit-grid"), "r+b") for _ in paths]
     try:
         with ProcessPoolExecutor(procs, multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_read_into, path, file.fileno())
-                       for path, file in zip(paths, files)]
-        for future, file in zip(futures, files):
-            header = future.result()
+            headers = pool.map(_read_into, paths, [file.fileno() for file in files])
+        for header, file in zip(headers, files):
             with file:  # the map keeps the file's pages
                 values = mmap.mmap(file.fileno(), 8 * header.ncols * header.nrows,
                                    access=mmap.ACCESS_READ)
@@ -213,6 +208,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise FlopitError(str(exc)) from None
+    check_periods([t_years for t_years, _, _ in args.layer])
     t0 = time.perf_counter()
     paths = [args.dem, *(path for _, _, path in args.layer)]
     # values come back from a worker through a memory file, so a platform
@@ -285,13 +281,11 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_compare(prob_path: str, zones_path: str, out_csv: str) -> int:
-    prob = read_ascii_grid(prob_path)
-    zones = read_ascii_grid(zones_path)
-    stats = compare_zones(prob, zones)
+def cmd_compare(args: argparse.Namespace) -> int:
+    stats = compare_zones(read_ascii_grid(args.prob), read_ascii_grid(args.zones))
     if not stats:
         raise FlopitError("no cells in any zone")
-    write_stats_csv(stats, out_csv)
+    write_stats_csv(stats, args.out)
     for s in stats:
         print(f"zone_T {s.zone_T:g} mean_return_period {s.mean:.6f}")
     return EXIT_OK
@@ -319,8 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
 
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper()),
@@ -329,12 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         force=True,
     )
     try:
-        if args.command == "interpolate":
-            return cmd_interpolate(args)
-        if args.command == "compare":
-            return cmd_compare(args.prob, args.zones, args.out)
-        if args.command == "synth":
-            return cmd_synth(args)
+        return args.run(args)
     except FlopitError as exc:
         print(f"flopit: error: {exc}", file=sys.stderr)
         return EXIT_DATA

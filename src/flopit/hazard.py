@@ -30,6 +30,27 @@ class LayerKind(Enum):
     WSE = "wse"
 
 
+def _check_period(t: float) -> None:
+    if not 1 < t < math.inf:
+        raise StackError(f"return period must be finite and exceed 1 year, got {t}")
+
+
+def check_periods(periods: list[float]) -> None:
+    """Raise StackError unless ``periods``, in any order, can make a stack:
+    each finite and above 1 year, 2 to 32 of them, no two equal. Needs no
+    grid, so a command line can be checked before any is read."""
+    for t in periods:
+        _check_period(t)
+    if len(periods) < 2:
+        raise StackError("at least two return periods required")
+    if len(periods) > 32:  # evaluation keeps retained layers in a uint32
+        raise StackError(f"at most 32 return periods are supported, got {len(periods)}")
+    ordered = sorted(periods)
+    for a, b in zip(ordered, ordered[1:]):
+        if b == a:
+            raise StackError(f"duplicate return period T={a:g}")
+
+
 @dataclass(frozen=True)
 class ReturnPeriodLayer:
     """One flood surface (depth or WSE grid) tagged with its return period."""
@@ -39,11 +60,7 @@ class ReturnPeriodLayer:
     grid: Raster
 
     def __post_init__(self):
-        if not 1 < self.return_period_years < math.inf:
-            raise StackError(
-                f"return period must be finite and exceed 1 year, "
-                f"got {self.return_period_years}"
-            )
+        _check_period(self.return_period_years)
 
     @property
     def exceedance_probability(self) -> float:
@@ -60,18 +77,10 @@ class HazardStack:
     layers: tuple[ReturnPeriodLayer, ...] = field(default=())
 
     def __post_init__(self):
-        if len(self.layers) < 2:
-            raise StackError("at least two return periods required")
-        if len(self.layers) > 32:  # evaluation keeps retained layers in a uint32
-            raise StackError(
-                f"at most 32 return periods are supported, got {len(self.layers)}"
-            )
         periods = [lyr.return_period_years for lyr in self.layers]
-        for a, b in zip(periods, periods[1:]):
-            if b == a:
-                raise StackError(f"duplicate return period T={a:g}")
-            if b < a:
-                raise StackError(f"layers must be strictly increasing in T, got {periods}")
+        check_periods(periods)
+        if periods != sorted(periods):
+            raise StackError(f"layers must be strictly increasing in T, got {periods}")
         for lyr in self.layers:
             if lyr.kind is not LayerKind.WSE:  # validate_stack converts depths
                 raise StackError(

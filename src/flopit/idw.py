@@ -71,12 +71,16 @@ class IdwParams:
 
 @lru_cache(maxsize=32)
 def _offsets(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dr, dc, d2) for the Chebyshev box, sorted by (d2, dr, dc), no centre."""
+    """(dr, dc, d2) for the Chebyshev box, sorted by (d2, dr, dc), no centre;
+    read-only, as every caller in the process shares the cached arrays."""
     span = np.arange(-radius, radius + 1)
     dr, dc = (a.ravel() for a in np.meshgrid(span, span, indexing="ij"))
     d2 = dr * dr + dc * dc
     order = np.lexsort((dc, dr, d2))[1:]  # the centre, d2 = 0, sorts first
-    return dr[order], dc[order], d2[order]
+    offsets = dr[order], dc[order], d2[order]
+    for arr in offsets:
+        arr.flags.writeable = False
+    return offsets
 
 
 def _box_counts(padded: np.ndarray, radius: int) -> np.ndarray:

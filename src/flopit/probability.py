@@ -119,7 +119,6 @@ def interpolate_map(
         z = dem.values[rows].reshape(-1)
         wse = [grid.values[rows].reshape(-1) for grid in grids]
         drops = np.zeros(len(grids), dtype=np.int64)
-        count = np.zeros(z.shape, dtype=np.int64)
         pattern = np.zeros(z.shape, dtype=np.uint32)
         # monotonicity repair: walking from the most frequent flood upward,
         # drop any surface not more than MIN_KNOT_GAP above the last kept one
@@ -128,11 +127,11 @@ def interpolate_map(
             has = vals != grid.nodata
             keep = has & (vals > last + MIN_KNOT_GAP)
             drops[k] = np.count_nonzero(has & ~keep)
-            count += keep
             pattern |= keep.astype(np.uint32) << k
             last = np.where(keep, vals, last)
-        # ``has`` is now the rarest layer's extent
-        cells = np.flatnonzero((z != dem.nodata) & has & (count >= 2))
+        # ``has`` is now the rarest layer's extent; a pattern with two or
+        # more bits set keeps at least two layers
+        cells = np.flatnonzero((z != dem.nodata) & has & (pattern & (pattern - 1) != 0))
         z, pattern = z[cells], pattern[cells]
 
         band_prob = prob[rows].reshape(-1)

@@ -249,9 +249,8 @@ def read_ascii_grid(path: str | Path) -> Raster:
 
     header: dict[str, float] = {}
     body_start = 0
-    n_keys = 0
     for lineno, (line, line_end) in enumerate(_lines(data), start=1):
-        if n_keys >= len(_HEADER_KEYS):
+        if len(header) == len(_HEADER_KEYS):
             break
         # the key, its value and the rest: a body line is not split further
         parts = line.split(None, 2)
@@ -268,7 +267,7 @@ def read_ascii_grid(path: str | Path) -> Raster:
                     f"{path.name}: unknown header key {parts[0]!r} on line {lineno}"
                 ) from None
             break
-        want = _HEADER_KEYS[n_keys]
+        want = _HEADER_KEYS[len(header)]
         if key != want:
             raise GridParseError(
                 f"{path.name}: expected header key {want.upper()!r} "
@@ -287,7 +286,6 @@ def read_ascii_grid(path: str | Path) -> Raster:
                 f"{parts[0]!r} on line {lineno}"
             ) from None
         body_start = line_end
-        n_keys += 1
 
     missing = [k for k in _HEADER_KEYS[:5] if k not in header]
     if missing:

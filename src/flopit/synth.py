@@ -23,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +92,6 @@ class FixtureSpec:
             raise ValueError(f"WSE levels must be strictly increasing, got {levels}")
 
 
-@lru_cache(maxsize=1)
 def _lcg_jumps() -> tuple[np.ndarray, np.ndarray]:
     """(a^k, c·(a^(k-1) + ... + a + 1)) mod 2^64 for k = 1 .. _LCG_BLOCK:
     k steps of the LCG take a state s to a^k·s + c·(...) mod 2^32."""
@@ -146,12 +144,13 @@ def generate_fixture(spec: FixtureSpec) -> tuple[Raster, list[ReturnPeriodLayer]
     return dem_raster, layers
 
 
-def write_fixture(spec: FixtureSpec, outdir: str | Path, decimals: int = 6) -> dict:
-    """Write fixture rasters plus a manifest; returns the manifest dict."""
+def write_fixture(spec: FixtureSpec, outdir: str | Path) -> dict:
+    """Write fixture rasters, at ``write_ascii_grid``'s default 6 decimals,
+    plus a manifest; returns the manifest dict."""
     dem, layers = generate_fixture(spec)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_ascii_grid(dem, outdir / "dem.asc", decimals)
+    write_ascii_grid(dem, outdir / "dem.asc")
     manifest = {
         "shape": spec.shape.value,
         "ncols": spec.ncols,
@@ -163,7 +162,7 @@ def write_fixture(spec: FixtureSpec, outdir: str | Path, decimals: int = 6) -> d
     }
     for lyr in layers:
         name = f"wse_T{lyr.return_period_years:g}.asc"
-        write_ascii_grid(lyr.grid, outdir / name, decimals)
+        write_ascii_grid(lyr.grid, outdir / name)
         manifest["layers"].append(
             {
                 "return_period_years": lyr.return_period_years,

@@ -486,6 +486,84 @@ def test_decimals_beyond_exact_is_usage_error(fixture_dir, tmp_path, capsys, dec
     assert list(tmp_path.glob("big*")) == []
 
 
+@pytest.mark.parametrize(
+    "layer, error",
+    [
+        (["--layer", "10:wse:a.asc"], "at least two return periods required"),
+        ([a for t in range(2, 35) for a in ("--layer", f"{t}:wse:a.asc")],
+         "at most 32 return periods are supported, got 33"),
+        (["--layer", "10:wse:a.asc", "--layer", "1:wse:b.asc"],
+         "return period must be finite and exceed 1 year, got 1.0"),
+        (["--layer", "10:wse:a.asc", "--layer", "100:wse:b.asc", "--layer", "10:wse:c.asc"],
+         "duplicate return period T=10"),
+    ],
+    ids=["one layer", "33 layers", "T=1", "duplicate T"],
+)
+def test_impossible_layer_list_is_data_error_before_any_read(
+    tmp_path, capsys, monkeypatch, layer, error
+):
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(flopit.cli, "read_ascii_grid", no_read)
+    args = ["interpolate", "--dem", "dem.asc", *layer, "--out", str(tmp_path / "x")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"flopit: error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["interpolate", "--dem", "d", "--out", "o", "--layer", "x:wse:p"],
+         "argument --layer: bad return period 'x'"),
+        (["interpolate", "--dem", "d", "--out", "o", "--layer", "10:dem:p"],
+         "argument --layer: layer kind must be 'depth' or 'wse', got 'dem'"),
+        (["interpolate", "--dem", "d", "--out", "o", "--workers", "x"],
+         "argument --workers: invalid int value: 'x'"),
+        (["synth", "--out", "o", "--level", "10"],
+         "argument --level: level spec '10' must be T:WSE"),
+        (["synth", "--out", "o", "--level", "10:x"], "argument --level: bad level spec '10:x'"),
+    ],
+)
+def test_bad_option_value_is_usage_error(capsys, args, error):
+    assert main(args) == 1
+    usage, message = capsys.readouterr().err.split(f"flopit {args[0]}: error: ")
+    assert usage.startswith(f"usage: flopit {args[0]} ")
+    assert message == error + "\n"
+
+
+def test_decimals_sets_every_grid_but_clamp(fixture_dir, tmp_path, monkeypatch):
+    written = {}
+
+    def spy(raster, path, decimals):
+        written[Path(path).stem.rsplit("_", 1)[1]] = raster, path, decimals
+        write_ascii_grid(raster, path, decimals)
+
+    monkeypatch.setattr(flopit.cli, "write_ascii_grid", spy)
+    assert main(interpolate_args(fixture_dir, tmp_path / "x", "--decimals", "3")) == 0
+    assert {name: d for name, (_, _, d) in written.items()} == {
+        "prob": 3, "rp": 3, "clamp": 0, "zones": 3,
+    }
+    for name, (raster, path, decimals) in written.items():
+        tokens = Path(path).read_text().split("\n", 6)[6].split()
+        assert tokens == ["-9999" if v == -9999.0 else f"%.{decimals}f" % v
+                          for v in raster.values.ravel().tolist()], name
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_read_line_without_proc_has_no_peak(fixture_dir, tmp_path, capsys, monkeypatch):
+    def no_proc(path, *args, **kwargs):
+        if path == "/proc/self/status":
+            raise FileNotFoundError(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(flopit.cli, "open", no_proc, raising=False)
+    assert main(interpolate_args(fixture_dir, tmp_path / "x")) == 0
+    err = capsys.readouterr().err
+    assert re.search(r"flopit.cli: read 4 grids on 1 process\(es\) in \S+ s\n", err), err
+
+
 def test_non_ascii_grid_is_data_error(fixture_dir, tmp_path, capsys):
     dem = tmp_path / "bom_dem.asc"
     dem.write_bytes(b"\xef\xbb\xbf" + (fixture_dir / "dem.asc").read_bytes())

@@ -99,6 +99,19 @@ def test_slopes_two_knots_equal_secant():
     assert slopes.tolist() == [-0.25, -0.25]
 
 
+def test_slopes_need_two_knots():
+    with pytest.raises(ValueError, match="need at least two knots"):
+        fc_slopes(np.array([3.0]), np.array([2.0]))
+
+
+def test_end_slope_limited_to_three_secants_across_a_turn():
+    # secants 1 then -10: the one-sided estimate at x = 0 is 6.5, three
+    # times the first secant at most; the interior knot turns, so it is flat
+    xs, ys = [0.0, 1.0, 2.0], [0.0, 1.0, -9.0]
+    assert scalar_fc_slopes(xs, ys) == [3.0, 0.0, -15.5]
+    assert fc_slopes(np.array(xs), np.array(ys)).tolist() == [3.0, 0.0, -15.5]
+
+
 def test_slopes_match_scalar_reference():
     xs = [0.0, 1.0, 2.0]
     ys = [0.0, -2.0, -2.2]

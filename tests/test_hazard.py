@@ -153,6 +153,16 @@ def test_validate_stack_misaligned_layer_named():
         )
 
 
+def test_stack_built_directly_checks_order_and_alignment():
+    dem = make_raster([[1.0]])
+    with pytest.raises(StackError, match=r"strictly increasing in T, got \[100, 10\]"):
+        HazardStack(dem, (layer(100, LayerKind.WSE, [[7.0]]),
+                          layer(10, LayerKind.WSE, [[5.0]])))
+    with pytest.raises(AlignmentError, match="^layer T=100 grid is not aligned"):
+        HazardStack(dem, (layer(10, LayerKind.WSE, [[5.0]]),
+                          layer(100, LayerKind.WSE, [[7.0]], xll=1.0)))
+
+
 def test_validate_stack_accepts_non_monotone_surfaces():
     # crossing surfaces are real-data errors; validation keeps them and the
     # curve construction repairs per cell later

@@ -230,6 +230,8 @@ def test_params_validation():
         IdwParams(radius_cells=0)
     with pytest.raises(ValueError):
         IdwParams(min_neighbors=5, max_neighbors=4)
+    with pytest.raises(ValueError, match="min_neighbors must be >= 1"):
+        IdwParams(min_neighbors=0)
     assert IdwParams().mode is IdwMode.FILL_ONLY
     for power in (1100.0, float("inf")):
         with pytest.raises(ValueError, match=r"not in \(0, "):
@@ -245,6 +247,13 @@ def test_params_validation():
         with pytest.raises(ValueError, match=r"not in \(0, "):
             IdwParams(power=1.001 * limit, radius_cells=radius)
         assert np.float64(2 * radius**2) ** (-0.5 * 1.001 * limit) == 0
+
+
+def test_cached_offsets_are_read_only():
+    # every IDW call in the process, forked readers included, shares them
+    for arr in idw._offsets(2):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def _stencil_cells(op, raster, params):

@@ -90,6 +90,28 @@ def test_degenerate_single_knot_cell_is_nodata():
     assert not pm.probability.data_mask[0, 1]  # one knot only
 
 
+@pytest.mark.parametrize("method", [SPLINE, LOGLIN])
+def test_32_layer_cells_need_two_kept_layers(method):
+    # kept layers per cell: none, layer 0 alone (layer 31 is no higher, so
+    # it is dropped), layer 31 alone, layers 0 and 31, layers 30 and 31;
+    # the retained set is a uint32 bit pattern, full at bit 31
+    dem = make_raster([[7.0] * 5])
+    wse = np.full((32, 5), NODATA)
+    wse[0, [1, 3]] = 10.0, 5.0
+    wse[30, 4] = 5.0
+    wse[31, 1:] = 10.0
+    layers = [ReturnPeriodLayer(k + 2.0, LayerKind.WSE, make_raster(wse[k:k + 1]))
+              for k in range(32)]
+    pm = interpolate_map(validate_stack(dem, layers), None, method)
+    assert pm.probability.data_mask.tolist() == [[False, False, False, True, True]]
+    for col, low_t in ((3, 2.0), (4, 32.0)):
+        pair = [ReturnPeriodLayer(low_t, LayerKind.WSE, make_raster([[5.0]])),
+                ReturnPeriodLayer(33.0, LayerKind.WSE, make_raster([[10.0]]))]
+        two = interpolate_map(validate_stack(make_raster([[7.0]]), pair), None, method)
+        assert pm.probability.values[0, col] == two.probability.values[0, 0]
+        assert pm.clamp_flags.values[0, col] == CLAMP_INTERIOR
+
+
 def test_monotonic_repair_drops_bad_knot():
     # middle surface below the 10-year one: dropped, curve is (6, 0.1), (8, 0.002)
     dem = make_raster([[7.0]])

@@ -252,6 +252,26 @@ def test_bad_header_value(tmp_path):
         read_ascii_grid(f)
 
 
+def test_blank_lines_inside_header_skipped(tmp_path):
+    f = write_text(
+        tmp_path / "g.asc",
+        "NCOLS 2\n\nNROWS 1\n \t\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n\n1 2\n",
+    )
+    g = read_ascii_grid(f)
+    assert g.header == GridHeader(2, 1, 0.0, 0.0, 1.0)
+    assert g.values.tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "ncols, nrows, cellsize, error",
+    [(0, 3, 1.0, "at least 1x1, got 0x3"), (3, 0, 1.0, "at least 1x1, got 3x0"),
+     (3, 3, 0.0, "cellsize must be positive"), (3, 3, -1.0, "cellsize must be positive")],
+)
+def test_header_geometry_validated(ncols, nrows, cellsize, error):
+    with pytest.raises(ValueError, match=error):
+        GridHeader(ncols, nrows, 0.0, 0.0, cellsize)
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -167,3 +167,5 @@ def test_spec_validation():
         FixtureSpec(shape=FixtureShape.RAMP, slope=0.0)
     with pytest.raises(ValueError, match="more bytes than this platform can address"):
         FixtureSpec(shape=FixtureShape.RAMP, ncols=10**10, nrows=10**10)
+    with pytest.raises(ValueError, match="at least 1x1"):
+        FixtureSpec(shape=FixtureShape.RAMP, ncols=0, nrows=5)
