@@ -8,6 +8,7 @@ to stdout, so pipelines can consume them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import mmap
 import os
@@ -183,8 +184,9 @@ def _read_forked(paths: list[str], procs: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    files = [open(os.memfd_create("flopit-grid"), "r+b") for _ in paths]
-    try:
+    with contextlib.ExitStack() as opened:
+        files = [opened.enter_context(open(os.memfd_create("flopit-grid"), "r+b"))
+                 for _ in paths]
         with ProcessPoolExecutor(procs, multiprocessing.get_context("fork")) as pool:
             headers = pool.map(_read_into, paths, [file.fileno() for file in files])
         for header, file in zip(headers, files):
@@ -192,9 +194,6 @@ def _read_forked(paths: list[str], procs: int):
                 values = mmap.mmap(file.fileno(), 8 * header.ncols * header.nrows,
                                    access=mmap.ACCESS_READ)
             yield Raster(header, locked(np.frombuffer(values).reshape(header.shape)))
-    finally:
-        for file in files:
-            file.close()
 
 
 def cmd_interpolate(args: argparse.Namespace) -> int:

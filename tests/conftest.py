@@ -1,9 +1,24 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import flopit
 from flopit import GridDimensionError, GridHeader, GridParseError, Raster
 from flopit.idw import IdwParams, _offsets
 from flopit.raster import _format_geo
+
+
+def child_env(with_src: bool = True) -> dict[str, str]:
+    """The environment of a child process. With ``with_src``, this
+    checkout's ``src`` leads its PYTHONPATH; without, it has no
+    PYTHONPATH, so the child imports the flopit its interpreter has."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    if with_src:
+        src = str(Path(flopit.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
 
 
 def make_raster(values, nodata=-9999.0, cellsize=1.0, xll=0.0, yll=0.0):

@@ -1,5 +1,6 @@
 """Command-line behaviour: wiring, exit codes, determinism."""
 
+import errno
 import gc
 import inspect
 import os
@@ -22,7 +23,7 @@ from flopit.probability import interpolate_map
 from flopit.raster import Raster, locked
 from flopit.synth import FixtureShape, FixtureSpec
 
-from conftest import make_raster
+from conftest import child_env, make_raster
 
 
 @pytest.fixture
@@ -213,6 +214,7 @@ _forks = pytest.mark.skipif(not hasattr(os, "memfd_create"),
     ("shifted-layer", 2),
     ("unparsable-last-layer", 2),
     pytest.param("dead-worker", 2, marks=_forks),
+    pytest.param("memfd-fails-on-third", 3, marks=_forks),
 ])
 def test_no_memory_file_outlives_a_run(fixture_dir, tmp_path, monkeypatch, fault, code):
     t100, t500 = fixture_dir / "wse_T100.asc", fixture_dir / "wse_T500.asc"
@@ -224,6 +226,16 @@ def test_no_memory_file_outlives_a_run(fixture_dir, tmp_path, monkeypatch, fault
         t500.write_bytes(t500.read_bytes().rstrip() + b"x\n")
     elif fault == "dead-worker":
         _die_in_workers(monkeypatch)
+    elif fault == "memfd-fails-on-third":
+        made, memfd_create = [], os.memfd_create
+
+        def fail_on_third(name):
+            made.append(name)
+            if len(made) == 3:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return memfd_create(name)
+
+        monkeypatch.setattr(os, "memfd_create", fail_on_third)
     held = []
     validate = flopit.cli.validate_stack
 
@@ -232,13 +244,17 @@ def test_no_memory_file_outlives_a_run(fixture_dir, tmp_path, monkeypatch, fault
         return validate(dem, layers)
 
     monkeypatch.setattr(flopit.cli, "validate_stack", spy)
-    assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == code
+        # the maps of grids read before a fault live on in the traceback's
+        # frames until the collector frees them
+        gc.collect()
     # each grid read holds its memory file through its map
     assert held == ([4] if code == 0 else [])
-    # the maps of grids read before a fault live on in the traceback's
-    # frames until the collector frees them
-    gc.collect()
     assert _memory_files() == []
+    # every memory file was closed, none left to the collector
+    assert [w for w in caught if w.category is ResourceWarning] == []
 
 
 @_forks
@@ -254,10 +270,8 @@ def test_dead_worker_is_data_error(fixture_dir, tmp_path, capsys, monkeypatch):
 def _run_cli(launcher: str, *argv: str) -> subprocess.CompletedProcess:
     """Run ``launcher`` as a Python script in a fresh process, with
     ``argv`` as its arguments and this flopit on its path."""
-    src = str(Path(flopit.cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", launcher, *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env=child_env())
 
 
 def test_cli_runs_without_the_resource_module(fixture_dir, tmp_path):
