@@ -29,7 +29,8 @@ from .raster import (
 from .synth import FixtureShape, FixtureSpec, write_fixture
 from .zonestats import compare_zones, write_stats_csv
 
-logger = logging.getLogger(__name__)
+# by name, not __name__: under ``python -m flopit.cli`` that is "__main__"
+logger = logging.getLogger("flopit.cli")
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -16,10 +16,12 @@ from a block whose cells all print at one length; a read in a single
 pass over blocks of a fixed ``2 * _BLOCK_CELLS`` bytes that both parses
 and checks them. So besides the file's bytes and the value array, the memory a read
 or a write holds is bounded, for a faulty body as much as for a good one.
-Each block is first parsed by numpy's C text reader as one line; a block
-it rejects is split into tokens and converted by ``float()``'s rules.
-Both use the same correctly rounded strtod, and either block then takes
-the same path: stored, checked for NaN/Inf and counted.
+A block whose tokens all have one width and one layout of sign, digits
+and point, as the writer prints them, is parsed as a byte matrix; any
+other block by numpy's C text reader as one line, and a block that
+reader rejects by ``float()``'s rules. All three give each token's
+correctly rounded value, and every block then takes the same path:
+stored, checked for NaN/Inf and counted.
 """
 
 from __future__ import annotations
@@ -178,17 +180,94 @@ def _parse_rejected(line: bytes) -> tuple[np.ndarray, str | None]:
         raise
 
 
+def _column_max(mat: np.ndarray) -> np.ndarray:
+    """Each column's maximum, by folding the rows in halves: every fold
+    is one pass over contiguous rows, where ``mat.max(axis=0)`` takes
+    them one at a time."""
+    while len(mat) > 1:
+        half = (len(mat) + 1) // 2
+        mat = np.maximum(mat[:half], mat[-half:])
+    return mat[0]
+
+
+def _parse_exact(data: bytes, start: int, end: int) -> np.ndarray | None:
+    """The values of the block ``data[start:end]`` if it is exactly wide,
+    else None.
+
+    Past at most one leading ' ' or '\\n', an exactly-wide block is n
+    tokens of one width w, each followed by one ' ' or '\\n' (the last
+    perhaps by none), and each laid out as the first one is: a '-' in
+    column 0 of every token or of none, a '.' in one column of every
+    token or of none, and 1 to 16 digits in the other columns. Then the
+    block is an (n, w + 1) byte matrix, and the digit columns give each
+    token's digits as one integer q, built in float64: exactly, as long
+    as q < 2^53, which every 15-digit token is. With d <= 16 decimals,
+    10^d is exact too, so q / 10^d is rounded once, correctly: the value
+    strtod gives (Clinger's fast path). The sign is applied after the
+    division, so ``-0.0`` reads as -0.0.
+
+    The first token's width and layout and the block's length are tested
+    first, so a block of any other form costs a look at a few bytes.
+    """
+    start += data[start] in b" \n"
+    # a sign, digits, a point and digits, each perhaps absent; the widest
+    # token, with 16 digits, is 18 bytes, and a 19th shows a wider one
+    layout = re.compile(rb"(-?)([0-9]*)(\.?)([0-9]*)")
+    tok = layout.match(data, start, min(end, start + 19))
+    sign, whole, point, frac = tok.groups()
+    width = tok.end() - start
+    n, rest = divmod(end - start, width + 1)
+    n += rest > 0
+    # where the last token would start; a separator must precede it
+    last = start + (n - 1) * (width + 1)
+    if (
+        rest not in (0, width)
+        or not 0 < len(whole) + len(frac) <= 16
+        or (tok.end() < end and data[tok.end()] not in b" \n")
+        or (n > 1 and data[last - 1] not in b" \n")
+    ):
+        return None
+    raw = np.frombuffer(data, np.uint8, end - start, start)
+    seps = raw[width::width + 1]
+    if not ((seps == ord(" ")) | (seps == ord("\n"))).all():
+        return None
+    if sign and not (raw[::width + 1] == ord("-")).all():
+        return None
+    if point and not (raw[len(sign) + len(whole)::width + 1] == ord(".")).all():
+        return None
+    # each token's row, its digits as 0..9 and any other byte as 10 or more
+    mat = np.empty((n, width + 1), dtype=np.uint8)
+    flat = mat.reshape(-1)
+    np.subtract(raw, np.uint8(ord("0")), out=flat[:raw.size])
+    flat[raw.size:] = 0  # the separator the last token may lack
+    cols = [*range(len(sign), len(sign) + len(whole)), *range(width - len(frac), width)]
+    if _column_max(mat)[cols].max() > 9:
+        return None
+    q = mat[:, cols[0]].astype(np.float64)
+    for col in cols[1:]:
+        q *= 10.0
+        q += mat[:, col]
+    # no partial sum exceeds q; below 2^53 none rounded, and rounding,
+    # being monotone, leaves a q of 2^53 or more at 2^53 or more
+    if q.max() >= 2.0**53:
+        return None
+    q /= 10.0 ** len(frac)
+    return np.negative(q, out=q) if sign else q
+
+
 def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarray:
     """The ``hdr.ncols * hdr.nrows`` finite numbers of the body ``data[start:]``.
 
     One pass parses and checks the body in blocks of ``2 * _BLOCK_CELLS``
     bytes, each cut at whitespace; at 128 KiB, a block and the C reader's
-    4-byte copy of it stay in a 2 MB L2 cache. With its whitespace turned
-    into spaces, a block is one line to numpy's C text reader, so wrapped
-    rows read as fast as whole ones; only a block that it rejects is split
-    into tokens (:func:`_parse_rejected`). Either way its values are stored
-    while they fit, checked for NaN/Inf and counted; a wrong count is
-    reported first, then the first unparsable token, then the first NaN/Inf.
+    4-byte copy of it stay in a 2 MB L2 cache. A block whose tokens are
+    all one width is parsed as a byte matrix (:func:`_parse_exact`).
+    Any other block, its whitespace turned into spaces, is one line to
+    numpy's C text reader, so wrapped rows read as fast as whole ones;
+    only a block that it rejects is split into tokens
+    (:func:`_parse_rejected`). Either way its values are stored while
+    they fit, checked for NaN/Inf and counted; a wrong count is reported
+    first, then the first unparsable token, then the first NaN/Inf.
     """
     n_cells = hdr.ncols * hdr.nrows
     # a separator follows every token but the last; a body too short for
@@ -196,23 +275,26 @@ def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarr
     values = np.empty(n_cells if n_cells <= (len(data) - start + 1) // 2 else 0)
     count = 0
     unparsable = non_finite = None
-    while start < len(data):
-        cut = _SPACE.search(data, start + 2 * _BLOCK_CELLS)
-        end = cut.start() if cut else len(data)
-        line = data[start:end].translate(_SPACE_OF_STR)
-        start = end
-        if line.isspace():
-            continue  # no token, on which the C reader would warn of no data
-        try:
-            vals = np.loadtxt(io.BytesIO(line), dtype=np.float64, comments=None, ndmin=1)
-        except ValueError:
-            vals, bad = _parse_rejected(line)
-            unparsable = unparsable or bad
+    end = start
+    while end < len(data):
+        cut = _SPACE.search(data, end + 2 * _BLOCK_CELLS)
+        start, end = end, cut.start() if cut else len(data)
+        vals = _parse_exact(data, start, end)
+        if vals is None:
+            line = data[start:end].translate(_SPACE_OF_STR)
+            if line.isspace():
+                continue  # no token, on which the C reader would warn of no data
+            try:
+                vals = np.loadtxt(io.BytesIO(line), dtype=np.float64, comments=None, ndmin=1)
+            except ValueError:
+                vals, bad = _parse_rejected(line)
+                unparsable = unparsable or bad
         if count + len(vals) <= values.size:
             values[count:count + len(vals)] = vals
         finite = np.isfinite(vals)
         if non_finite is None and not finite.all():
-            non_finite = line.split()[int(np.argmin(finite))].decode("ascii")
+            tokens = data[start:end].translate(_SPACE_OF_STR).split()
+            non_finite = tokens[int(np.argmin(finite))].decode("ascii")
         count += len(vals)
     if count != n_cells:
         raise GridDimensionError(

@@ -27,7 +27,9 @@
   all print at one length and in blocks that miss that by one cell;
 * the grid reader's values, or its exception class and message, equal
   those of parsing the whole body at once, wherever the blocks end, for
-  tokens at the edges of what numpy's C reader and ``float()`` accept.
+  tokens at the edges of what numpy's C reader and ``float()`` accept,
+  and for bodies of tokens of one width, as the writer prints them, with
+  or without a token or separator that must send its block elsewhere.
 """
 
 import contextlib
@@ -566,4 +568,75 @@ def test_reader_equals_whole_body_parse(tmp_path_factory, data):
     )
     with mock.patch.object(raster, "_BLOCK_CELLS", data.draw(st.integers(1, 12))):
         got = _outcome(lambda: raster.read_ascii_grid(path).values)
+    assert got == _outcome(lambda: _parse_tokens("g.asc", body, hdr))
+
+
+# what turns a block of tokens of one width into one that must take
+# another path; each keeps the token's width or the separator's place
+_NEAR_MISSES = {
+    "plus": lambda tok: "+" + tok[1:],  # +5, or a lone +
+    "sign": lambda tok: "-" + tok[1:],  # -5 among 15
+    "no sign": lambda tok: "5" + tok[1:],  # 15 among -5
+    "exponent": lambda tok: tok[:-2] + "e" + tok[-1] if len(tok) > 2 else "e",
+    "letter": lambda tok: tok[:-1] + "x",
+    "no point": lambda tok: tok.replace(".", "0"),  # 1025 among 1.25
+}
+
+_SEPARATOR_MISSES = {"tab": "\t", "crlf": "\r\n", "double": "  ", "joined": "7"}
+
+
+@st.composite
+def one_width_bodies(draw, n_tokens):
+    """A body of ``n_tokens`` tokens laid out alike: a sign or none, 0 to
+    16 digits before a point or none, and 0 to 16 after it, at most 17
+    bytes in all; each followed by ' ' or '\\n', the last perhaps by
+    none. Sometimes one token or separator is a near miss."""
+    sign = draw(st.sampled_from(["", "-"]))
+    point = draw(st.sampled_from(["", "."]))
+    # 16 digits read exactly only below 2^53; "." and "-." are no number
+    room = min(16, 17 - len(sign) - len(point))
+    decimals = draw(st.integers(0, room)) if point else 0
+    whole = draw(st.integers(0 if point else 1, room - decimals))
+    n_digits = whole + decimals
+    digits = st.one_of(
+        st.just("0" * n_digits),  # zero, -0.0 with a sign
+        st.just("9" * n_digits),  # above 2^53 at 16 digits
+        st.text("0123456789", min_size=n_digits, max_size=n_digits),
+    )
+    tokens = []
+    for _ in range(n_tokens):
+        ds = draw(digits)
+        tokens.append(sign + ds[:whole] + point + ds[whole:])
+    seps = draw(st.lists(st.sampled_from([" ", "\n"]), min_size=n_tokens, max_size=n_tokens))
+    miss = draw(st.sampled_from(["none", "none", *_NEAR_MISSES, *_SEPARATOR_MISSES]))
+    i = draw(st.integers(0, n_tokens - 1))
+    if miss in _NEAR_MISSES:
+        tokens[i] = _NEAR_MISSES[miss](tokens[i])
+    elif miss != "none":
+        seps[i] = _SEPARATOR_MISSES[miss]
+    if draw(st.booleans()):
+        seps[-1] = ""
+    lead = draw(st.sampled_from(["", " ", "\n"]))
+    return lead + "".join(map(str.__add__, tokens, seps))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_reader_of_one_width_tokens_equals_whole_body_parse(tmp_path_factory, data):
+    hdr = raster.GridHeader(
+        ncols=data.draw(st.integers(1, 8)), nrows=data.draw(st.integers(1, 6)),
+        xllcorner=0.0, yllcorner=0.0, cellsize=1.0,
+    )
+    n_tokens = hdr.ncols * hdr.nrows + data.draw(st.sampled_from([-1, 0, 0, 0, 1]))
+    assume(n_tokens > 0)
+    body = data.draw(one_width_bodies(n_tokens))
+    path = tmp_path_factory.mktemp("r") / "g.asc"
+    path.write_text(
+        f"NCOLS {hdr.ncols}\nNROWS {hdr.nrows}\nXLLCORNER 0\nYLLCORNER 0\n"
+        f"CELLSIZE 1\nNODATA_VALUE -9999\n{body}",
+        encoding="ascii",
+    )
+    with mock.patch.object(raster, "_BLOCK_CELLS", data.draw(st.integers(1, 12))):
+        got = _outcome(lambda: raster.read_ascii_grid(path).values)
+    # bytes, so the sign of each zero counts
     assert got == _outcome(lambda: _parse_tokens("g.asc", body, hdr))

@@ -387,8 +387,9 @@ def test_body_read_in_blocks(tmp_path, block_cells, sep, layout):
 def test_wrapped_rows_and_any_separator_take_the_c_reader(
     tmp_path, monkeypatch, block_cells, sep
 ):
-    # each block reaches numpy's C reader as one line, so neither the row
-    # layout nor a separator of str.split sends plain numbers elsewhere
+    # a block of mixed widths reaches numpy's C reader as one line, so
+    # neither the row layout nor a separator of str.split sends plain
+    # numbers on to the token-by-token parse
     def rejected(line):
         raise AssertionError(f"block fell back: {line!r}")
 
@@ -402,6 +403,51 @@ def test_wrapped_rows_and_any_separator_take_the_c_reader(
         # 1_0 is no number to the C reader: that block does fall back
         with pytest.raises(AssertionError, match="block fell back"):
             read_ascii_grid(write_text(tmp_path / "u.asc", _HEAD + sep.join(_TOKENS)))
+
+
+@pytest.mark.parametrize("block", [
+    "1.5 2.5 3.5", "1.5 2.5 3.5\n", "\n1.5 2.5\n3.5", "007 000 120", "-0.0 -1.5 -2.0",
+    "5. 6. 7.", ".5 .0 .9", "-.5 -.0", "7", "123456789012345.6 000000000000000.1",
+    "9.007199254740991 0.000000000000001",
+])
+def test_exactly_wide_blocks_read_as_strtod_reads_them(block):
+    vals = raster._parse_exact(block.encode(), 0, len(block))
+    assert vals is not None
+    assert vals.tobytes() == np.array([float(t) for t in block.split()]).tobytes()
+
+
+@pytest.mark.parametrize("block", [
+    "9007199254740993 1000000000000000",  # 16 digits, the first above 2^53
+    ". .", "-. -.", "+5 +6", "-5 15", "15 -5", "1e5 2e5", "1.5 2.x", "1.5 2.5 3.x",
+    "1.25 1025", "1.5\t2.5", "1.5\r\n2.5", "1.5  2.5", "1.5 2.5\t", "1.5 2.573.5",
+    "\t1.5 2.5", "  1.5 2.5", "1_0 2_0", "12345678901234567",
+])
+def test_blocks_that_are_not_exactly_wide_are_left_to_the_text_readers(block):
+    assert raster._parse_exact(block.encode(), 0, len(block)) is None
+
+
+@pytest.mark.parametrize("decimals", [0, 6, 15])
+def test_only_blocks_of_mixed_widths_reach_the_c_reader(tmp_path, monkeypatch, decimals):
+    # cells of 1 .. 9 print at one width, and so do those of -9 .. -1; a
+    # single 10.25 makes its block, and a block of both signs, mixed
+    vals = np.random.default_rng(decimals).uniform(1, 9, (150, 1000))
+    vals[50:100] *= -1
+    vals[120, 500] = 10.25
+    path = tmp_path / "g.asc"
+    write_ascii_grid(make_raster(vals), path, decimals)
+    blocks = []
+    loadtxt = np.loadtxt
+
+    def counted(file, *args, **kwargs):
+        blocks.append(file.getvalue())
+        return loadtxt(file, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    got = read_ascii_grid(path).values
+    want = np.array(path.read_bytes().split()[12:], dtype=np.float64).reshape(vals.shape)
+    assert got.tobytes() == want.tobytes()
+    assert 1 <= len(blocks) <= 3
+    assert all(len({len(tok) for tok in block.split()}) > 1 for block in blocks)
 
 
 @pytest.mark.parametrize("block_cells", [1, 1 << 16])
