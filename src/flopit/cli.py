@@ -172,8 +172,10 @@ def _read_into(path: str, fd: int):
 
 def _read_forked(paths: list[str], procs: int):
     """The grids at ``paths``, read on ``procs`` forked processes, as an
-    iterator in path order. Every grid is read before the first is
-    yielded; ``Executor.map`` then raises a grid's read error, or
+    iterator in path order. Processes, not threads: numpy's C text
+    reader, which parses every block whose tokens are not all one width,
+    holds the GIL. Every grid is read before the first is yielded;
+    ``Executor.map`` then raises a grid's read error, or
     BrokenProcessPool if a worker died, when the iterator reaches it.
 
     Each grid has a memory file, made before the fork, so every worker

@@ -130,9 +130,8 @@ def build_wse(dem: Raster, layer: ReturnPeriodLayer) -> Raster:
     depth = layer.grid.values
     nodata = layer.grid.nodata
     ok = (depth != nodata) & (depth > 0) & dem.data_mask
-    out = np.full(depth.shape, nodata)
     with np.errstate(over="ignore"):
-        out[ok] = dem.values[ok] + depth[ok]
+        out = np.where(ok, dem.values + depth, nodata)
     bad = ~np.isfinite(out)
     if bad.any():
         r, c = np.argwhere(bad)[0]

@@ -180,16 +180,6 @@ def _parse_rejected(line: bytes) -> tuple[np.ndarray, str | None]:
         raise
 
 
-def _column_max(mat: np.ndarray) -> np.ndarray:
-    """Each column's maximum, by folding the rows in halves: every fold
-    is one pass over contiguous rows, where ``mat.max(axis=0)`` takes
-    them one at a time."""
-    while len(mat) > 1:
-        half = (len(mat) + 1) // 2
-        mat = np.maximum(mat[:half], mat[-half:])
-    return mat[0]
-
-
 def _parse_exact(data: bytes, start: int, end: int) -> np.ndarray | None:
     """The values of the block ``data[start:end]`` if it is exactly wide,
     else None.
@@ -199,12 +189,15 @@ def _parse_exact(data: bytes, start: int, end: int) -> np.ndarray | None:
     perhaps by none), and each laid out as the first one is: a '-' in
     column 0 of every token or of none, a '.' in one column of every
     token or of none, and 1 to 16 digits in the other columns. Then the
-    block is an (n, w + 1) byte matrix, and the digit columns give each
-    token's digits as one integer q, built in float64: exactly, as long
-    as q < 2^53, which every 15-digit token is. With d <= 16 decimals,
-    10^d is exact too, so q / 10^d is rounded once, correctly: the value
-    strtod gives (Clinger's fast path). The sign is applied after the
-    division, so ``-0.0`` reads as -0.0.
+    block is an (n, w + 1) byte matrix. Less '0', with the separator,
+    sign and point columns zeroed once checked, its one maximum over the
+    contiguous buffer is at most 9 only if every digit column holds
+    digits. Those columns give each token's digits as one integer q,
+    built in float64: exactly, as long as q < 2^53, which every 15-digit
+    token is. With d <= 16 decimals, 10^d is exact too, so q / 10^d is
+    rounded once, correctly: the value strtod gives (Clinger's fast
+    path). The sign is applied after the division, so ``-0.0`` reads as
+    -0.0.
 
     The first token's width and layout and the block's length are tested
     first, so a block of any other form costs a look at a few bytes.
@@ -235,14 +228,19 @@ def _parse_exact(data: bytes, start: int, end: int) -> np.ndarray | None:
         return None
     if point and not (raw[len(sign) + len(whole)::width + 1] == ord(".")).all():
         return None
-    # each token's row, its digits as 0..9 and any other byte as 10 or more
+    # each token's row, its digits as 0..9 and any other byte as 10 or
+    # more: a byte below '0' wraps to 208 or more
     mat = np.empty((n, width + 1), dtype=np.uint8)
     flat = mat.reshape(-1)
     np.subtract(raw, np.uint8(ord("0")), out=flat[:raw.size])
-    flat[raw.size:] = 0  # the separator the last token may lack
-    cols = [*range(len(sign), len(sign) + len(whole)), *range(width - len(frac), width)]
-    if _column_max(mat)[cols].max() > 9:
+    mat[:, width] = 0  # also the separator the last token may lack
+    if sign:
+        mat[:, 0] = 0
+    if point:
+        mat[:, len(sign) + len(whole)] = 0
+    if flat.max() > 9:
         return None
+    cols = [*range(len(sign), len(sign) + len(whole)), *range(width - len(frac), width)]
     q = mat[:, cols[0]].astype(np.float64)
     for col in cols[1:]:
         q *= 10.0

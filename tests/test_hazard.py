@@ -54,6 +54,16 @@ def test_build_wse_overflow_names_layer():
         build_wse(dem, layer(100, LayerKind.DEPTH, [[2.0, 1e308]]))
 
 
+def test_build_wse_ignores_overflow_in_nodata_cells():
+    # the depth grid's nodata over a DEM of 1e308 sums to inf, in a cell
+    # whose sum is discarded; pyproject's filterwarnings fails the test on a
+    # RuntimeWarning
+    dem = make_raster([[1.0, 1e308]])
+    out = build_wse(dem, layer(100, LayerKind.DEPTH, [[2.0, 1e308]], nodata=1e308))
+    assert out.values.tolist() == [[3.0, 1e308]]
+    assert out.data_mask.tolist() == [[True, False]]
+
+
 def test_build_wse_misaligned():
     dem = make_raster([[1.0]])
     with pytest.raises(AlignmentError):

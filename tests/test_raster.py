@@ -408,7 +408,8 @@ def test_wrapped_rows_and_any_separator_take_the_c_reader(
 @pytest.mark.parametrize("block", [
     "1.5 2.5 3.5", "1.5 2.5 3.5\n", "\n1.5 2.5\n3.5", "007 000 120", "-0.0 -1.5 -2.0",
     "5. 6. 7.", ".5 .0 .9", "-.5 -.0", "7", "123456789012345.6 000000000000000.1",
-    "9.007199254740991 0.000000000000001",
+    "9.007199254740991 0.000000000000001", "-12 -34 -56", "-12.34 -56.78 -90.12",
+    "12.34 56.78 90.12", "-1. -2.", "-.25 -.75",
 ])
 def test_exactly_wide_blocks_read_as_strtod_reads_them(block):
     vals = raster._parse_exact(block.encode(), 0, len(block))
@@ -416,7 +417,17 @@ def test_exactly_wide_blocks_read_as_strtod_reads_them(block):
     assert vals.tobytes() == np.array([float(t) for t in block.split()]).tobytes()
 
 
+def _with_bad_byte(token: str, col: int, bad: str) -> str:
+    """Three copies of ``token``, the middle one with ``bad`` at ``col``."""
+    return " ".join([token, token[:col] + bad + token[col + 1:], token])
+
+
 @pytest.mark.parametrize("block", [
+    # a byte one above '9', one below '0' or a letter in the first and the
+    # last digit column, just after '-', just before '.' and just after '.'
+    *(_with_bad_byte(token, col, bad)
+      for token, col in [("12.34", 0), ("12.34", 4), ("-12.34", 1), ("-12.34", 2), ("-12.34", 4)]
+      for bad in ":/a"),
     "9007199254740993 1000000000000000",  # 16 digits, the first above 2^53
     ". .", "-. -.", "+5 +6", "-5 15", "15 -5", "1e5 2e5", "1.5 2.x", "1.5 2.5 3.x",
     "1.25 1025", "1.5\t2.5", "1.5\r\n2.5", "1.5  2.5", "1.5 2.5\t", "1.5 2.573.5",
