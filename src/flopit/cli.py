@@ -200,16 +200,13 @@ def _read_forked(paths: list[str], procs: int):
 
 
 def cmd_interpolate(args: argparse.Namespace) -> int:
-    try:
-        idw = IdwParams(
-            power=args.idw_power,
-            radius_cells=args.idw_radius,
-            max_neighbors=args.idw_max_neighbors,
-            min_neighbors=args.idw_min_neighbors,
-            mode=IdwMode(args.idw_mode),
-        )
-    except ValueError as exc:
-        raise FlopitError(str(exc)) from None
+    idw = IdwParams(
+        power=args.idw_power,
+        radius_cells=args.idw_radius,
+        max_neighbors=args.idw_max_neighbors,
+        min_neighbors=args.idw_min_neighbors,
+        mode=IdwMode(args.idw_mode),
+    )
     check_periods([t_years for t_years, _, _ in args.layer])
     t0 = time.perf_counter()
     paths = [args.dem, *(path for _, _, path in args.layer)]
@@ -295,17 +292,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     levels = tuple(args.level) or FixtureSpec.wse_levels
-    try:
-        spec = FixtureSpec(
-            shape=FixtureShape(args.shape),
-            ncols=args.ncols,
-            nrows=args.nrows,
-            slope=args.slope,
-            wse_levels=levels,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise FlopitError(str(exc)) from None
+    spec = FixtureSpec(
+        shape=FixtureShape(args.shape),
+        ncols=args.ncols,
+        nrows=args.nrows,
+        slope=args.slope,
+        wse_levels=levels,
+        seed=args.seed,
+    )
     manifest = write_fixture(spec, args.out)
     print(f"wrote {len(manifest['layers']) + 1} rasters to {args.out}")
     return EXIT_OK

@@ -1,12 +1,13 @@
 """Exception hierarchy for data and validation failures.
 
-All subclasses of :class:`FlopitError` indicate a problem with the input
-data or its combination (exit code 2 on the command line). Plain ``OSError``
-is left alone and signals an I/O failure (exit code 3).
+:class:`FlopitError`, a ``ValueError``, and its subclasses indicate a problem
+with the input data or its combination (exit code 2 on the command line);
+the parameter objects ``IdwParams`` and ``FixtureSpec`` raise it too. Plain
+``OSError`` is left alone and signals an I/O failure (exit code 3).
 """
 
 
-class FlopitError(Exception):
+class FlopitError(ValueError):
     """Base class for data/validation errors raised by this package."""
 
 

@@ -32,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import FlopitError
 from .hazard import HazardStack, ReturnPeriodLayer
 from .raster import Raster, locked, row_bands
 
@@ -53,17 +54,17 @@ class IdwParams:
 
     def __post_init__(self):
         if self.radius_cells < 1:
-            raise ValueError(f"radius_cells must be >= 1, got {self.radius_cells}")
+            raise FlopitError(f"radius_cells must be >= 1, got {self.radius_cells}")
         # above top the farthest weight, (2 r^2)^(-power/2), is < 2^-1074, i.e. 0
         top = 2 * 1074 / (1 + 2 * math.log2(self.radius_cells))  # log2: no overflow
         if not 0 < self.power <= top:
-            raise ValueError(
+            raise FlopitError(
                 f"power {self.power} not in (0, {top:.10g}] at radius {self.radius_cells}"
             )
         if self.min_neighbors < 1:
-            raise ValueError("min_neighbors must be >= 1")
+            raise FlopitError("min_neighbors must be >= 1")
         if self.min_neighbors > self.max_neighbors:
-            raise ValueError(
+            raise FlopitError(
                 f"min_neighbors {self.min_neighbors} exceeds "
                 f"max_neighbors {self.max_neighbors}"
             )

@@ -20,8 +20,8 @@ A block whose tokens all have one width and one layout of sign, digits
 and point, as the writer prints them, is parsed as a byte matrix; any
 other block by numpy's C text reader as one line, and a block that
 reader rejects by ``float()``'s rules. All three give each token's
-correctly rounded value, and every block then takes the same path:
-stored, checked for NaN/Inf and counted.
+correctly rounded value; the values of the two text readers are checked
+for NaN/Inf, and every block's are stored and counted.
 """
 
 from __future__ import annotations
@@ -199,8 +199,9 @@ def _parse_exact(data: bytes, start: int, end: int) -> np.ndarray | None:
     path). The sign is applied after the division, so ``-0.0`` reads as
     -0.0.
 
-    The first token's width and layout and the block's length are tested
-    first, so a block of any other form costs a look at a few bytes.
+    The first token's width and digit count and the block's length are
+    tested first; a block that passes them and is of any other form costs
+    the strided compares of its separator, sign and point columns.
     """
     start += data[start] in b" \n"
     # a sign, digits, a point and digits, each perhaps absent; the widest
@@ -211,14 +212,7 @@ def _parse_exact(data: bytes, start: int, end: int) -> np.ndarray | None:
     width = tok.end() - start
     n, rest = divmod(end - start, width + 1)
     n += rest > 0
-    # where the last token would start; a separator must precede it
-    last = start + (n - 1) * (width + 1)
-    if (
-        rest not in (0, width)
-        or not 0 < len(whole) + len(frac) <= 16
-        or (tok.end() < end and data[tok.end()] not in b" \n")
-        or (n > 1 and data[last - 1] not in b" \n")
-    ):
+    if rest not in (0, width) or not 0 < len(whole) + len(frac) <= 16:
         return None
     raw = np.frombuffer(data, np.uint8, end - start, start)
     seps = raw[width::width + 1]
@@ -263,9 +257,11 @@ def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarr
     Any other block, its whitespace turned into spaces, is one line to
     numpy's C text reader, so wrapped rows read as fast as whole ones;
     only a block that it rejects is split into tokens
-    (:func:`_parse_rejected`). Either way its values are stored while
-    they fit, checked for NaN/Inf and counted; a wrong count is reported
-    first, then the first unparsable token, then the first NaN/Inf.
+    (:func:`_parse_rejected`), and only the values of these two text
+    readers are checked for NaN/Inf: a byte-matrix value is digits over
+    a power of ten, always finite. Every block's values are stored while
+    they fit and counted; a wrong count is reported first, then the
+    first unparsable token, then the first NaN/Inf.
     """
     n_cells = hdr.ncols * hdr.nrows
     # a separator follows every token but the last; a body too short for
@@ -287,12 +283,11 @@ def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarr
             except ValueError:
                 vals, bad = _parse_rejected(line)
                 unparsable = unparsable or bad
+            finite = np.isfinite(vals)
+            if non_finite is None and not finite.all():
+                non_finite = line.split()[int(np.argmin(finite))].decode("ascii")
         if count + len(vals) <= values.size:
             values[count:count + len(vals)] = vals
-        finite = np.isfinite(vals)
-        if non_finite is None and not finite.all():
-            tokens = data[start:end].translate(_SPACE_OF_STR).split()
-            non_finite = tokens[int(np.argmin(finite))].decode("ascii")
         count += len(vals)
     if count != n_cells:
         raise GridDimensionError(

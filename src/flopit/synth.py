@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import InterpolationMethod
+from .errors import FlopitError
 from .hazard import MAX_ABS_ELEVATION, LayerKind, ReturnPeriodLayer
 from .raster import DEFAULT_NODATA, GridHeader, Raster, locked, write_ascii_grid
 
@@ -64,32 +65,32 @@ class FixtureSpec:
 
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
-            raise ValueError("fixture must be at least 1x1")
+            raise FlopitError("fixture must be at least 1x1")
         if self.ncols * self.nrows * 8 > np.iinfo(np.intp).max:
-            raise ValueError(
+            raise FlopitError(
                 f"a {self.ncols}x{self.nrows} grid of float64 is more bytes "
                 "than this platform can address"
             )
         if not 0 < self.slope < math.inf:
-            raise ValueError(f"slope must be positive and finite, got {self.slope}")
+            raise FlopitError(f"slope must be positive and finite, got {self.slope}")
         # bounds |elevation| on every shape, noise included
         relief = (max(self.ncols, self.nrows) + NOISE_CELLS) * self.slope
         if relief > MAX_ABS_ELEVATION:
-            raise ValueError(
+            raise FlopitError(
                 f"DEM relief up to {relief:g} is beyond ±{MAX_ABS_ELEVATION:g}"
             )
         if len(self.wse_levels) < 2:
-            raise ValueError("need at least two WSE levels")
+            raise FlopitError("need at least two WSE levels")
         periods = [t for t, _ in self.wse_levels]
         levels = [w for _, w in self.wse_levels]
         if not all(map(math.isfinite, periods + levels)):
-            raise ValueError(
+            raise FlopitError(
                 f"return periods and WSE levels must be finite, got {self.wse_levels}"
             )
         if any(b <= a for a, b in zip(periods, periods[1:])):
-            raise ValueError(f"return periods must be strictly increasing, got {periods}")
+            raise FlopitError(f"return periods must be strictly increasing, got {periods}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError(f"WSE levels must be strictly increasing, got {levels}")
+            raise FlopitError(f"WSE levels must be strictly increasing, got {levels}")
 
 
 def _lcg_jumps() -> tuple[np.ndarray, np.ndarray]:

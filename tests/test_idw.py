@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from flopit import (
-    IdwMode, IdwParams, LayerKind, ReturnPeriodLayer, fill_stack, idw, idw_fill,
-    idw_smooth, raster, validate_stack,
+    FlopitError, IdwMode, IdwParams, LayerKind, ReturnPeriodLayer, fill_stack, idw,
+    idw_fill, idw_smooth, raster, validate_stack,
 )
 from flopit.idw import _box_counts
 
@@ -224,19 +224,21 @@ def test_repeated_runs_identical(rng):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    # a library caller gets the data error the CLI maps to exit 2, still a ValueError
+    assert issubclass(FlopitError, ValueError)
+    with pytest.raises(FlopitError):
         IdwParams(power=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(FlopitError):
         IdwParams(radius_cells=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(FlopitError):
         IdwParams(min_neighbors=5, max_neighbors=4)
-    with pytest.raises(ValueError, match="min_neighbors must be >= 1"):
+    with pytest.raises(FlopitError, match="min_neighbors must be >= 1"):
         IdwParams(min_neighbors=0)
     assert IdwParams().mode is IdwMode.FILL_ONLY
     for power in (1100.0, float("inf")):
-        with pytest.raises(ValueError, match=r"not in \(0, "):
+        with pytest.raises(FlopitError, match=r"not in \(0, "):
             IdwParams(power=power)
-    with pytest.raises(ValueError, match=r"not in \(0, "):  # not OverflowError
+    with pytest.raises(FlopitError, match=r"not in \(0, "):  # not OverflowError
         IdwParams(radius_cells=10**400)
     assert IdwParams(power=1e-3, radius_cells=10**400).radius_cells == 10**400
     # the bound is where the farthest weight, (2 r^2)^(-power/2), turns 0
@@ -244,7 +246,7 @@ def test_params_validation():
         limit = 2 * 1074 / (1 + 2 * math.log2(radius))
         IdwParams(power=0.999 * limit, radius_cells=radius)
         assert np.float64(2 * radius**2) ** (-0.5 * 0.999 * limit) > 0
-        with pytest.raises(ValueError, match=r"not in \(0, "):
+        with pytest.raises(FlopitError, match=r"not in \(0, "):
             IdwParams(power=1.001 * limit, radius_cells=radius)
         assert np.float64(2 * radius**2) ** (-0.5 * 1.001 * limit) == 0
 

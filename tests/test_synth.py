@@ -10,6 +10,7 @@ import pytest
 from flopit import (
     FixtureShape,
     FixtureSpec,
+    FlopitError,
     InterpolationMethod,
     generate_fixture,
     oracle_probability,
@@ -157,15 +158,15 @@ def test_write_fixture_bytes_pinned(tmp_path):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(FlopitError):
         FixtureSpec(shape=FixtureShape.RAMP, wse_levels=((10.0, 5.0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(FlopitError):
         FixtureSpec(shape=FixtureShape.RAMP, wse_levels=((10.0, 5.0), (100.0, 4.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(FlopitError):
         FixtureSpec(shape=FixtureShape.RAMP, wse_levels=((100.0, 5.0), (10.0, 6.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(FlopitError):
         FixtureSpec(shape=FixtureShape.RAMP, slope=0.0)
-    with pytest.raises(ValueError, match="more bytes than this platform can address"):
+    with pytest.raises(FlopitError, match="more bytes than this platform can address"):
         FixtureSpec(shape=FixtureShape.RAMP, ncols=10**10, nrows=10**10)
-    with pytest.raises(ValueError, match="at least 1x1"):
+    with pytest.raises(FlopitError, match="at least 1x1"):
         FixtureSpec(shape=FixtureShape.RAMP, ncols=0, nrows=5)
