@@ -16,6 +16,10 @@ from a block whose cells all print at one length; a read in a single
 pass over blocks of a fixed ``2 * _BLOCK_CELLS`` bytes that both parses
 and checks them. So besides the file's bytes and the value array, the memory a read
 or a write holds is bounded, for a faulty body as much as for a good one.
+A block of one value is one token repeated both ways: written as the
+first cell's text when every cell has the first cell's bits, value and
+sign bit alike (0.0 and -0.0 are equal but print differently), and read
+from its first token when its byte rows are all equal.
 A block whose tokens all have one width and one layout of sign, digits
 and point, as the writer prints them, is parsed as a byte matrix; any
 other block by numpy's C text reader as one line, and a block that
@@ -197,7 +201,9 @@ def _parse_exact(data: bytes, start: int, end: int) -> np.ndarray | None:
     token is. With d <= 16 decimals, 10^d is exact too, so q / 10^d is
     rounded once, correctly: the value strtod gives (Clinger's fast
     path). The sign is applied after the division, so ``-0.0`` reads as
-    -0.0.
+    -0.0. A block of one value, whose byte rows are all equal, folds its
+    first row alone by these same steps and returns that value, read-only,
+    for each of its n tokens.
 
     The first token's width and digit count and the block's length are
     tested first; a block that passes them and is of any other form costs
@@ -234,6 +240,11 @@ def _parse_exact(data: bytes, start: int, end: int) -> np.ndarray | None:
         mat[:, len(sign) + len(whole)] = 0
     if flat.max() > 9:
         return None
+    # a block of one value: every row equal to the one before it; the
+    # last row, compared first, turns most other blocks away
+    one = (mat[-1] == mat[0]).all() and (flat[width + 1:] == flat[:-width - 1]).all()
+    if one:
+        mat = mat[:1]
     cols = [*range(len(sign), len(sign) + len(whole)), *range(width - len(frac), width)]
     q = mat[:, cols[0]].astype(np.float64)
     for col in cols[1:]:
@@ -244,7 +255,9 @@ def _parse_exact(data: bytes, start: int, end: int) -> np.ndarray | None:
     if q.max() >= 2.0**53:
         return None
     q /= 10.0 ** len(frac)
-    return np.negative(q, out=q) if sign else q
+    if sign:
+        np.negative(q, out=q)
+    return np.broadcast_to(q, (n,)) if one else q
 
 
 def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarray:
@@ -411,12 +424,17 @@ def _format_rows(
     digit count, the matrix is exactly as wide as each cell's text and
     separator, and every byte of it is written; otherwise it is as wide
     as the longest text, and the zero bytes padding the shorter ones are
-    dropped. A block of nodata only is one row's text repeated.
+    dropped. A block of one value, every cell with the bits of the first
+    (so one sign bit: 0.0 and -0.0 are equal but print differently), is
+    one row's text repeated: ``nodata_text`` if that value is nodata,
+    else its ``%`` text.
     """
-    nod = vals == nodata
-    if nod.all():
-        row = " ".join([nodata_text] * ncols) + "\n"
+    bits = vals.view(np.int64)
+    if (bits == bits[0]).all():
+        text = nodata_text if vals[0] == nodata else f"%.{decimals}f" % vals[0]
+        row = " ".join([text] * ncols) + "\n"
         return row.encode("ascii") * (vals.size // ncols)
+    nod = vals == nodata
     if decimals > 15:
         fast = np.zeros_like(nod)
         n = np.zeros_like(vals)

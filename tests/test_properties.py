@@ -461,14 +461,15 @@ def test_writer_bytes_equal_percent_formatting(tmp_path_factory, data):
 @st.composite
 def one_length_grids(draw, decimals, nodata):
     """Grids whose cells all print text of one length, or all but one:
-    all nodata; or all of one sign, each printed with the same digit
-    count, every cell perhaps reaching it by a rounding carry."""
+    all one value, nodata or a zero of either sign or one that ``%``
+    prints; or all of one sign, each printed with the same digit count,
+    every cell perhaps reaching it by a rounding carry."""
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
     n = shape[0] * shape[1]
-    kind = draw(st.sampled_from(["positive", "negative", "carry", "nodata"]))
-    if kind == "nodata":
+    kind = draw(st.sampled_from(["positive", "negative", "carry", "one"]))
+    if kind == "one":  # below 9 decimals -1e-9 prints as -0.000...
         ndig = decimals + 1
-        vals = np.full(n, nodata)
+        vals = np.full(n, draw(st.sampled_from([0.0, -0.0, -1e-9, 1e20, nodata])))
     else:
         # digits printed; q stays below 2^51, so every cell is printed
         # from its digits

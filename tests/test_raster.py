@@ -90,6 +90,20 @@ def test_write_nodata_literal(tmp_path):
     assert (tmp_path / "o.asc").read_text().splitlines()[-1] == "-9999 1.00"
 
 
+@pytest.mark.parametrize("decimals", [0, 6])
+def test_write_zeros_of_both_signs(tmp_path, decimals):
+    # 0.0 and -0.0 are equal but print differently, so no block of both
+    # is one value; -0.0 equals a nodata of 0.0 and prints as nodata
+    zero, neg = "%.*f" % (decimals, 0.0), "%.*f" % (decimals, -0.0)
+    for vals, nodata, want in [
+        ([[0.0, -0.0], [0.0, 0.0]], -9999.0, [f"{zero} {neg}", f"{zero} {zero}"]),
+        ([[-0.0, 0.0], [-0.0, -0.0]], -9999.0, [f"{neg} {zero}", f"{neg} {neg}"]),
+        ([[-0.0, -0.0], [-0.0, -0.0]], 0.0, ["0 0", "0 0"]),
+    ]:
+        write_ascii_grid(make_raster(vals, nodata), tmp_path / "o.asc", decimals)
+        assert (tmp_path / "o.asc").read_text().splitlines()[6:] == want
+
+
 def test_write_decimals_range(tmp_path):
     # every double prints exactly with 1074 decimals, the most accepted
     r = make_raster([[2.0**-1074, -1.0 / 3.0]])
@@ -410,6 +424,9 @@ def test_wrapped_rows_and_any_separator_take_the_c_reader(
     "5. 6. 7.", ".5 .0 .9", "-.5 -.0", "7", "123456789012345.6 000000000000000.1",
     "9.007199254740991 0.000000000000001", "-12 -34 -56", "-12.34 -56.78 -90.12",
     "12.34 56.78 90.12", "-1. -2.", "-.25 -.75",
+    # blocks of one value, and near misses of one differing token
+    "2.5 2.5 2.5", "2.5 2.5\n2.5\n", "\n-9999 -9999 -9999", "-0.0 -0.0", "007 007",
+    "2.6 2.5 2.5", "2.5 2.6 2.5", "2.5 2.5 2.6", "-2.5 -2.5 -2.4",
 ])
 def test_exactly_wide_blocks_read_as_strtod_reads_them(block):
     vals = raster._parse_exact(block.encode(), 0, len(block))
