@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import logging
 import mmap
 import os
@@ -19,7 +20,7 @@ from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 import numpy as np
 
 from .curves import InterpolationMethod
-from .errors import FlopitError
+from .errors import AlignmentError, FlopitError
 from .hazard import LayerKind, ReturnPeriodLayer, check_periods, validate_stack
 from .idw import IdwMode, IdwParams, fill_stack
 from .probability import derive_zones, interpolate_map, pool_size
@@ -218,7 +219,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     layers = []
     for (t_years, kind, path), grid in zip(args.layer, grids):
         if not grids_aligned(dem.header, grid.header):
-            raise FlopitError(f"layer {path} is not aligned with the DEM")
+            raise AlignmentError(f"layer {path} is not aligned with the DEM")
         layers.append(ReturnPeriodLayer(t_years, kind, grid))
     try:  # this process's own peak, which starts afresh at exec
         with open("/proc/self/status") as status:
@@ -306,6 +307,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # glibc raises its mmap threshold to each mmapped chunk it frees, so a
+    # run's speed would hang on which large temporaries it frees. Pin it
+    # (32 MiB, glibc's 64-bit maximum) and the trim threshold together:
+    # setting either turns off glibc's adjustment of both (mallopt(3)).
+    libc = ctypes.CDLL(None) if os.name == "posix" else None  # no CDLL(None) on Windows
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        if mallopt(-3, 32 << 20) == 1:  # M_MMAP_THRESHOLD
+            mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

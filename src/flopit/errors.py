@@ -2,8 +2,9 @@
 
 :class:`FlopitError`, a ``ValueError``, and its subclasses indicate a problem
 with the input data or its combination (exit code 2 on the command line);
-the parameter objects ``IdwParams`` and ``FixtureSpec`` raise it too. Plain
-``OSError`` is left alone and signals an I/O failure (exit code 3).
+``GridHeader``, ``Raster`` and the parameter objects ``IdwParams`` and
+``FixtureSpec`` raise it too. Plain ``OSError`` is left alone and signals
+an I/O failure (exit code 3).
 """
 
 

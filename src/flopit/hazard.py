@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AlignmentError, StackError
+from .errors import AlignmentError, FlopitError, StackError
 from .raster import Raster, grids_aligned, locked
 
 # curve evaluation multiplies differences of elevations; within ±1e150 no
@@ -132,14 +132,14 @@ def build_wse(dem: Raster, layer: ReturnPeriodLayer) -> Raster:
     ok = (depth != nodata) & (depth > 0) & dem.data_mask
     with np.errstate(over="ignore"):
         out = np.where(ok, dem.values + depth, nodata)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
+    try:
+        return Raster(layer.grid.header, locked(out))
+    except FlopitError:  # Raster rejects a non-finite cell, here only an overflow
+        r, c = np.argwhere(~np.isfinite(out))[0]
         raise StackError(
             f"layer T={layer.return_period_years:g}: DEM + depth overflows "
             f"at cell ({r}, {c})"
-        )
-    return Raster(layer.grid.header, locked(out))
+        ) from None
 
 
 def validate_stack(dem: Raster, layers: list[ReturnPeriodLayer]) -> HazardStack:

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GridDimensionError, GridParseError
+from .errors import FlopitError, GridDimensionError, GridParseError
 
 DEFAULT_NODATA = -9999.0
 
@@ -74,12 +74,12 @@ class GridHeader:
 
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
+            raise FlopitError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
         for name in ("xllcorner", "yllcorner", "cellsize", "nodata_value"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise FlopitError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.cellsize > 0:
-            raise ValueError(f"cellsize must be positive, got {self.cellsize}")
+            raise FlopitError(f"cellsize must be positive, got {self.cellsize}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -101,7 +101,7 @@ class Raster:
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.shape != self.header.shape:
-            raise ValueError(
+            raise FlopitError(
                 f"values shape {arr.shape} does not match header {self.header.shape}"
             )
         if arr.flags.writeable:
@@ -110,7 +110,7 @@ class Raster:
         bad = ~np.isfinite(arr)
         if bad.any():
             r, c = np.argwhere(bad)[0]
-            raise ValueError(
+            raise FlopitError(
                 f"non-finite value {arr[r, c]} at cell ({r}, {c}); "
                 f"use the nodata sentinel for missing cells"
             )

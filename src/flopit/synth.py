@@ -29,7 +29,7 @@ import numpy as np
 
 from .curves import InterpolationMethod
 from .errors import FlopitError
-from .hazard import MAX_ABS_ELEVATION, LayerKind, ReturnPeriodLayer
+from .hazard import MAX_ABS_ELEVATION, LayerKind, ReturnPeriodLayer, check_periods
 from .raster import DEFAULT_NODATA, GridHeader, Raster, locked, write_ascii_grid
 
 # noise amplitude of the noisy ramp, in multiples of the row-to-row relief
@@ -53,7 +53,8 @@ class FixtureSpec:
     """Recipe for one synthetic terrain plus its constant flood surfaces.
 
     ``wse_levels`` pairs each return period with the constant surface
-    elevation of that flood, strictly increasing in both.
+    elevation of that flood, strictly increasing in both. Geometry comes
+    from ``header`` and period rules from :func:`check_periods`.
     """
 
     shape: FixtureShape
@@ -63,12 +64,16 @@ class FixtureSpec:
     wse_levels: tuple[tuple[float, float], ...] = ((10.0, 5.0), (100.0, 7.0), (500.0, 8.0))
     seed: int = 0
 
+    @property
+    def header(self) -> GridHeader:
+        """Unit cells with the lower-left corner at the origin."""
+        return GridHeader(self.ncols, self.nrows, 0.0, 0.0, 1.0, DEFAULT_NODATA)
+
     def __post_init__(self):
-        if self.ncols < 1 or self.nrows < 1:
-            raise FlopitError("fixture must be at least 1x1")
-        if self.ncols * self.nrows * 8 > np.iinfo(np.intp).max:
+        hdr = self.header
+        if hdr.ncols * hdr.nrows * 8 > np.iinfo(np.intp).max:
             raise FlopitError(
-                f"a {self.ncols}x{self.nrows} grid of float64 is more bytes "
+                f"a {hdr.ncols}x{hdr.nrows} grid of float64 is more bytes "
                 "than this platform can address"
             )
         if not 0 < self.slope < math.inf:
@@ -79,16 +84,14 @@ class FixtureSpec:
             raise FlopitError(
                 f"DEM relief up to {relief:g} is beyond ±{MAX_ABS_ELEVATION:g}"
             )
-        if len(self.wse_levels) < 2:
-            raise FlopitError("need at least two WSE levels")
         periods = [t for t, _ in self.wse_levels]
         levels = [w for _, w in self.wse_levels]
-        if not all(map(math.isfinite, periods + levels)):
-            raise FlopitError(
-                f"return periods and WSE levels must be finite, got {self.wse_levels}"
-            )
-        if any(b <= a for a, b in zip(periods, periods[1:])):
+        check_periods(periods)
+        # levels pair with periods in the order given
+        if periods != sorted(periods):
             raise FlopitError(f"return periods must be strictly increasing, got {periods}")
+        if not all(map(math.isfinite, levels)):
+            raise FlopitError(f"WSE levels must be finite, got {levels}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise FlopitError(f"WSE levels must be strictly increasing, got {levels}")
 
@@ -116,14 +119,7 @@ def lcg_uniforms(seed: int, count: int) -> np.ndarray:
 
 def generate_fixture(spec: FixtureSpec) -> tuple[Raster, list[ReturnPeriodLayer]]:
     """DEM and extent-masked constant WSE layers for a fixture spec."""
-    hdr = GridHeader(
-        ncols=spec.ncols,
-        nrows=spec.nrows,
-        xllcorner=0.0,
-        yllcorner=0.0,
-        cellsize=1.0,
-        nodata_value=DEFAULT_NODATA,
-    )
+    hdr = spec.header
     dem = np.empty(hdr.shape)  # first, so a grid too large fails before any work
     rows = np.arange(spec.nrows, dtype=np.float64)[:, None]
     cols = np.arange(spec.ncols, dtype=np.float64)[None, :]

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import flopit.cli
 from flopit import read_ascii_grid, write_ascii_grid
 from flopit.cli import main
 from flopit.curves import InterpolationMethod
+from flopit.errors import AlignmentError
 from flopit.idw import IdwParams
 from flopit.probability import interpolate_map
 from flopit.raster import Raster, locked
@@ -94,6 +96,20 @@ def test_misaligned_layer_names_path(fixture_dir, tmp_path, capsys):
     ])
     assert code == 2
     assert "bad_layer.asc" in capsys.readouterr().err
+
+
+def test_misaligned_layer_is_alignment_error(fixture_dir, tmp_path):
+    bad_path = tmp_path / "bad_layer.asc"
+    write_ascii_grid(make_raster(np.full((3, 3), 5.0)), bad_path)
+    args = flopit.cli.build_parser().parse_args([
+        "interpolate",
+        "--dem", str(fixture_dir / "dem.asc"),
+        "--layer", f"10:wse:{fixture_dir / 'wse_T10.asc'}",
+        "--layer", f"100:wse:{bad_path}",
+        "--out", str(tmp_path / "x"),
+    ])
+    with pytest.raises(AlignmentError, match=f"layer {re.escape(str(bad_path))} is not"):
+        flopit.cli.cmd_interpolate(args)
 
 
 def test_outputs_byte_identical_across_runs(fixture_dir, tmp_path):
@@ -446,6 +462,23 @@ def test_synth_non_finite_or_overflowing_spec_is_data_error(tmp_path, capsys, ex
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize(
+    "levels, error",
+    [
+        ([f"{t}:{t}" for t in range(2, 35)], "at most 32 return periods are supported, got 33"),
+        (["1:5", "100:7"], "return period must be finite and exceed 1 year, got 1.0"),
+        (["10:5", "10:6"], "duplicate return period T=10"),
+    ],
+)
+def test_synth_levels_that_make_no_stack_write_nothing(tmp_path, capsys, levels, error):
+    args = ["synth", "--out", str(tmp_path / "f")]
+    for level in levels:
+        args += ["--level", level]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"flopit: error: {error}\n"
+    assert not (tmp_path / "f").exists()
+
+
 def test_out_of_memory_is_data_error(tmp_path, capsys):
     # 10^16 cells: the first allocation, the whole DEM, fails at once
     big = ["--ncols", "100000000", "--nrows", "100000000"]
@@ -734,3 +767,33 @@ def test_loglinear_method_flag(fixture_dir, tmp_path):
     a = read_ascii_grid(f"{out_a}_prob.asc")
     b = read_ascii_grid(f"{out_b}_prob.asc")
     assert not np.array_equal(a.values, b.values)
+
+
+def _libc(result, calls):
+    """Stands in for ``ctypes.CDLL(None)``: its ``mallopt`` records each
+    call in ``calls`` and returns ``result``."""
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+
+    return types.SimpleNamespace(mallopt=mallopt)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the allocator is pinned on POSIX only")
+@pytest.mark.parametrize("result, expected", [
+    # M_MMAP_THRESHOLD to 32 MiB, then M_TRIM_THRESHOLD to 1 GiB
+    (1, [(-3, 32 << 20), (-1, 1 << 30)]),
+    # a refused mmap threshold sets no trim threshold either
+    (0, [(-3, 32 << 20)]),
+])
+def test_main_pins_the_allocator_first(monkeypatch, capsys, result, expected):
+    names, calls = [], []
+    libc = _libc(result, calls)
+    monkeypatch.setattr(flopit.cli.ctypes, "CDLL", lambda name: names.append(name) or libc)
+    assert main([]) == 1  # a usage error: the pin comes before the parse
+    assert names == [None] and calls == expected
+
+
+def test_main_without_mallopt_pins_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(flopit.cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert main([]) == 1

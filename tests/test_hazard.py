@@ -54,6 +54,14 @@ def test_build_wse_overflow_names_layer():
         build_wse(dem, layer(100, LayerKind.DEPTH, [[2.0, 1e308]]))
 
 
+def test_build_wse_overflow_names_first_cell_in_row_order():
+    # (0, 2) comes first row by row, (1, 0) column by column
+    dem = make_raster([[1.0, 1.0, 1e308], [1e308, 1.0, 1.0]])
+    depth = [[2.0, 2.0, 1e308], [1e308, 2.0, 2.0]]
+    with pytest.raises(StackError, match=r"T=10: DEM \+ depth overflows at cell \(0, 2\)$"):
+        build_wse(dem, layer(10, LayerKind.DEPTH, depth))
+
+
 def test_build_wse_ignores_overflow_in_nodata_cells():
     # the depth grid's nodata over a DEM of 1e308 sums to inf, in a cell
     # whose sum is discarded; pyproject's filterwarnings fails the test on a

@@ -10,6 +10,7 @@ import pytest
 
 from flopit import raster
 from flopit import (
+    FlopitError,
     GridDimensionError,
     GridHeader,
     GridParseError,
@@ -610,6 +611,15 @@ def test_grids_aligned():
 def test_raster_rejects_nan():
     with pytest.raises(ValueError, match="non-finite"):
         make_raster([[np.nan]])
+
+
+def test_grid_faults_are_data_errors():
+    # FlopitError, which the command line maps to exit 2, and a ValueError
+    with pytest.raises(FlopitError, match="at least 1x1, got 0x1"):
+        GridHeader(0, 1, 0, 0, 1)
+    with pytest.raises(FlopitError, match=r"non-finite value nan at cell \(0, 1\)"):
+        make_raster([[1.0, np.nan]])
+    assert issubclass(FlopitError, ValueError)
 
 
 def test_raster_rejects_shape_mismatch():

@@ -11,11 +11,14 @@ from flopit import (
     FixtureShape,
     FixtureSpec,
     FlopitError,
+    GridHeader,
     InterpolationMethod,
+    StackError,
     generate_fixture,
     oracle_probability,
     write_fixture,
 )
+from flopit.raster import DEFAULT_NODATA
 from flopit.synth import _LCG_BLOCK, lcg_uniforms
 
 LOGLIN = InterpolationMethod.LOG_LINEAR
@@ -155,6 +158,33 @@ def test_write_fixture_bytes_pinned(tmp_path):
         "wse_T100.asc": "1c985fa20d1960d2eeef6d5c86fdd1825a2127496219c3af6000230775e04b0e",
         "wse_T500.asc": "fcb69f0bc390dac1db7b52e440e08fcfc2813cc38abb90f747ebc636fa12b40d",
     }
+
+
+@pytest.mark.parametrize(
+    "levels, kind, error",
+    [
+        # check_periods' rules, whose faults are StackErrors
+        (((1.0, 5.0), (100.0, 7.0)), StackError, "must be finite and exceed 1 year, got 1.0"),
+        (((10.0, 5.0), (math.nan, 7.0)), StackError, "must be finite and exceed 1 year, got nan"),
+        (((10.0, 5.0), (10.0, 7.0)), StackError, "duplicate return period T=10"),
+        (((10.0, 5.0),), StackError, "at least two return periods required"),
+        (tuple((t, t) for t in range(2, 35)), StackError, "at most 32 return periods"),
+        # the fixture's own
+        (((100.0, 5.0), (10.0, 7.0)), FlopitError, "return periods must be strictly increasing"),
+        (((10.0, 5.0), (100.0, math.inf)), FlopitError, r"^WSE levels must be finite, got \[5.0, inf\]"),
+    ],
+)
+def test_spec_checks_levels_at_construction(levels, kind, error):
+    with pytest.raises(kind, match=error):
+        FixtureSpec(shape=FixtureShape.RAMP, wse_levels=levels)
+
+
+def test_spec_header_is_the_generated_grid():
+    spec = FixtureSpec(shape=FixtureShape.VALLEY, ncols=7, nrows=3)
+    assert spec.header == GridHeader(7, 3, 0.0, 0.0, 1.0, DEFAULT_NODATA)
+    dem, layers = generate_fixture(spec)
+    assert dem.header == spec.header
+    assert all(lyr.grid.header == spec.header for lyr in layers)
 
 
 def test_spec_validation():
