@@ -1,8 +1,8 @@
 """Command-line interface: interpolate, compare, synth.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 I/O
-error. Diagnostics and progress go to stderr; statistics and summaries go
-to stdout, so pipelines can consume them.
+error, 130 interrupted. Diagnostics and progress go to stderr; statistics
+and summaries go to stdout, so pipelines can consume them.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 import numpy as np
 
 from .curves import InterpolationMethod
-from .errors import AlignmentError, FlopitError
-from .hazard import LayerKind, ReturnPeriodLayer, check_periods, validate_stack
+from .errors import FlopitError
+from .hazard import (
+    LayerKind, ReturnPeriodLayer, check_aligned, check_periods, validate_stack,
+)
 from .idw import IdwMode, IdwParams, fill_stack
 from .probability import derive_zones, interpolate_map, pool_size
-from .raster import (
-    MAX_DECIMALS, Raster, grids_aligned, locked, read_ascii_grid, write_ascii_grid,
-)
+from .raster import MAX_DECIMALS, Raster, locked, read_ascii_grid, write_ascii_grid
 from .synth import FixtureShape, FixtureSpec, write_fixture
 from .zonestats import compare_zones, write_stats_csv
 
@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 def _parse_layer(text: str) -> tuple[float, LayerKind, str]:
     parts = text.split(":", 2)
@@ -218,8 +219,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     dem = next(grids)
     layers = []
     for (t_years, kind, path), grid in zip(args.layer, grids):
-        if not grids_aligned(dem.header, grid.header):
-            raise AlignmentError(f"layer {path} is not aligned with the DEM")
+        check_aligned(dem, grid.header, f"layer {path}")
         layers.append(ReturnPeriodLayer(t_years, kind, grid))
     try:  # this process's own peak, which starts afresh at exec
         with open("/proc/self/status") as status:
@@ -343,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"flopit: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("flopit: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 :class:`FlopitError`, a ``ValueError``, and its subclasses indicate a problem
 with the input data or its combination (exit code 2 on the command line);
-``GridHeader``, ``Raster`` and the parameter objects ``IdwParams`` and
-``FixtureSpec`` raise it too. Plain ``OSError`` is left alone and signals
-an I/O failure (exit code 3).
+``GridHeader``, ``Raster``, ``write_ascii_grid`` and the parameter objects
+``IdwParams`` and ``FixtureSpec`` raise it too. Plain ``OSError`` is left
+alone and signals an I/O failure (exit code 3).
 """
 
 
@@ -13,7 +13,8 @@ class FlopitError(ValueError):
 
 
 class GridParseError(FlopitError):
-    """An ASCII grid file is malformed (bad header key, bad token, NaN/Inf)."""
+    """An ASCII grid file is malformed (bad header key, bad token, NaN/Inf,
+    more cells than the platform can address)."""
 
 
 class GridDimensionError(GridParseError):

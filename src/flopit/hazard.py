@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import AlignmentError, FlopitError, StackError
-from .raster import Raster, grids_aligned, locked
+from .raster import GridHeader, Raster, grids_aligned, locked
 
 # curve evaluation multiplies differences of elevations; within ±1e150 no
 # product of two of them can overflow a float64
@@ -49,6 +49,13 @@ def check_periods(periods: list[float]) -> None:
     for a, b in zip(ordered, ordered[1:]):
         if b == a:
             raise StackError(f"duplicate return period T={a:g}")
+
+
+def check_aligned(dem: Raster, header: GridHeader, name: str) -> None:
+    """Raise AlignmentError, naming ``name``, unless ``header`` describes
+    the DEM's cells."""
+    if not grids_aligned(dem.header, header):
+        raise AlignmentError(f"{name} is not aligned with the DEM")
 
 
 @dataclass(frozen=True)
@@ -87,11 +94,8 @@ class HazardStack:
                     f"layer T={lyr.return_period_years:g} is a {lyr.kind.value} "
                     f"grid; a stack holds WSE layers only"
                 )
-            if not grids_aligned(self.dem.header, lyr.grid.header):
-                raise AlignmentError(
-                    f"layer T={lyr.return_period_years:g} grid is not aligned "
-                    f"with the DEM"
-                )
+            check_aligned(self.dem, lyr.grid.header,
+                          f"layer T={lyr.return_period_years:g} grid")
         named = [("DEM", self.dem)] + [
             (f"layer T={lyr.return_period_years:g}", lyr.grid) for lyr in self.layers
         ]
@@ -121,10 +125,7 @@ def build_wse(dem: Raster, layer: ReturnPeriodLayer) -> Raster:
     map to nodata, as do cells where either input is nodata. WSE grids pass
     through unchanged. Raises StackError if a sum overflows to infinity.
     """
-    if not grids_aligned(dem.header, layer.grid.header):
-        raise AlignmentError(
-            f"layer T={layer.return_period_years:g} grid is not aligned with the DEM"
-        )
+    check_aligned(dem, layer.grid.header, f"layer T={layer.return_period_years:g} grid")
     if layer.kind is LayerKind.WSE:
         return layer.grid
     depth = layer.grid.values

@@ -24,8 +24,8 @@ A block whose tokens all have one width and one layout of sign, digits
 and point, as the writer prints them, is parsed as a byte matrix; any
 other block by numpy's C text reader as one line, and a block that
 reader rejects by ``float()``'s rules. All three give each token's
-correctly rounded value; the values of the two text readers are checked
-for NaN/Inf, and every block's are stored and counted.
+correctly rounded value, and every block's values are stored and
+counted; :class:`Raster` then rejects a NaN/Inf, naming its cell.
 """
 
 from __future__ import annotations
@@ -75,6 +75,11 @@ class GridHeader:
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
             raise FlopitError(f"grid must be at least 1x1, got {self.ncols}x{self.nrows}")
+        if self.ncols * self.nrows * 8 > np.iinfo(np.intp).max:
+            raise FlopitError(
+                f"a {self.ncols}x{self.nrows} grid of float64 is more bytes "
+                "than this platform can address"
+            )
         for name in ("xllcorner", "yllcorner", "cellsize", "nodata_value"):
             if not math.isfinite(getattr(self, name)):
                 raise FlopitError(f"{name} must be finite, got {getattr(self, name)}")
@@ -261,7 +266,7 @@ def _parse_exact(data: bytes, start: int, end: int) -> np.ndarray | None:
 
 
 def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarray:
-    """The ``hdr.ncols * hdr.nrows`` finite numbers of the body ``data[start:]``.
+    """The ``hdr.ncols * hdr.nrows`` numbers of the body ``data[start:]``.
 
     One pass parses and checks the body in blocks of ``2 * _BLOCK_CELLS``
     bytes, each cut at whitespace; at 128 KiB, a block and the C reader's
@@ -270,18 +275,16 @@ def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarr
     Any other block, its whitespace turned into spaces, is one line to
     numpy's C text reader, so wrapped rows read as fast as whole ones;
     only a block that it rejects is split into tokens
-    (:func:`_parse_rejected`), and only the values of these two text
-    readers are checked for NaN/Inf: a byte-matrix value is digits over
-    a power of ten, always finite. Every block's values are stored while
+    (:func:`_parse_rejected`). Every block's values are stored while
     they fit and counted; a wrong count is reported first, then the
-    first unparsable token, then the first NaN/Inf.
+    first unparsable token. A NaN/Inf is left to :class:`Raster`.
     """
     n_cells = hdr.ncols * hdr.nrows
     # a separator follows every token but the last; a body too short for
     # n_cells tokens is only counted
     values = np.empty(n_cells if n_cells <= (len(data) - start + 1) // 2 else 0)
     count = 0
-    unparsable = non_finite = None
+    unparsable = None
     end = start
     while end < len(data):
         cut = _SPACE.search(data, end + 2 * _BLOCK_CELLS)
@@ -296,9 +299,6 @@ def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarr
             except ValueError:
                 vals, bad = _parse_rejected(line)
                 unparsable = unparsable or bad
-            finite = np.isfinite(vals)
-            if non_finite is None and not finite.all():
-                non_finite = line.split()[int(np.argmin(finite))].decode("ascii")
         if count + len(vals) <= values.size:
             values[count:count + len(vals)] = vals
         count += len(vals)
@@ -309,10 +309,6 @@ def _parse_body(name: str, data: bytes, start: int, hdr: GridHeader) -> np.ndarr
         )
     if unparsable is not None:
         raise GridParseError(f"{name}: cannot parse body token {unparsable!r}")
-    if non_finite is not None:
-        raise GridParseError(
-            f"{name}: body contains {non_finite!r}; NaN/Inf are not valid cell values"
-        )
     return values
 
 
@@ -397,7 +393,10 @@ def read_ascii_grid(path: str | Path) -> Raster:
         raise GridParseError(f"{path.name}: {exc}") from None
 
     values = _parse_body(path.name, data, body_start, hdr)
-    return Raster(hdr, locked(values.reshape(hdr.shape)))
+    try:
+        return Raster(hdr, locked(values.reshape(hdr.shape)))
+    except FlopitError as exc:  # Raster rejects a NaN/Inf cell
+        raise GridParseError(f"{path.name}: {exc}") from None
 
 
 def _format_geo(x: float) -> str:
@@ -514,7 +513,7 @@ def write_ascii_grid(raster: Raster, path: str | Path, decimals: int = 6) -> Non
     at once is bounded.
     """
     if not 0 <= decimals <= MAX_DECIMALS:
-        raise ValueError(f"decimals must be in [0, {MAX_DECIMALS}], got {decimals}")
+        raise FlopitError(f"decimals must be in [0, {MAX_DECIMALS}], got {decimals}")
     hdr = raster.header
     nodata_text = _format_geo(hdr.nodata_value)
     header = (

@@ -70,12 +70,7 @@ class FixtureSpec:
         return GridHeader(self.ncols, self.nrows, 0.0, 0.0, 1.0, DEFAULT_NODATA)
 
     def __post_init__(self):
-        hdr = self.header
-        if hdr.ncols * hdr.nrows * 8 > np.iinfo(np.intp).max:
-            raise FlopitError(
-                f"a {hdr.ncols}x{hdr.nrows} grid of float64 is more bytes "
-                "than this platform can address"
-            )
+        self.header  # GridHeader checks the geometry
         if not 0 < self.slope < math.inf:
             raise FlopitError(f"slope must be positive and finite, got {self.slope}")
         # bounds |elevation| on every shape, noise included

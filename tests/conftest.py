@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,17 @@ from flopit.raster import _format_geo
 def child_env(with_src: bool = True) -> dict[str, str]:
     """The environment of a child process. With ``with_src``, this
     checkout's ``src`` leads its PYTHONPATH; without, it has no
-    PYTHONPATH, so the child imports the flopit its interpreter has."""
+    PYTHONPATH, so the child imports the flopit its interpreter has.
+    The child runs in dev mode and under the warning options if the
+    tests do, so a file it leaves open fails the same way."""
     env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
     if with_src:
         src = str(Path(flopit.__file__).parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if sys.flags.dev_mode:
+        env["PYTHONDEVMODE"] = "1"
+    if sys.warnoptions:
+        env["PYTHONWARNINGS"] = ",".join(sys.warnoptions)
     return env
 
 
@@ -136,9 +143,11 @@ def _parse_tokens(name: str, text: str, hdr: GridHeader) -> np.ndarray:
         raise
     bad = ~np.isfinite(values)
     if bad.any():
+        k = int(np.argmax(bad))
+        r, c = divmod(k, hdr.ncols)
         raise GridParseError(
-            f"{name}: body contains {tokens[int(np.argmax(bad))]!r}; "
-            f"NaN/Inf are not valid cell values"
+            f"{name}: non-finite value {values[k]} at cell ({r}, {c}); "
+            f"use the nodata sentinel for missing cells"
         )
     return values
 

@@ -1,10 +1,12 @@
 """Command-line behaviour: wiring, exit codes, determinism."""
 
+import contextlib
 import errno
 import gc
 import inspect
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -299,6 +301,51 @@ def test_cli_runs_without_the_resource_module(fixture_dir, tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "x_prob.asc").exists()
+
+
+def _start_blocked(stage: str, fd: int, *argv: str) -> subprocess.Popen:
+    """Start the CLI with ``argv`` in a fresh process and session, its
+    ``flopit.cli.<stage>`` replaced by a call that writes one byte to the
+    inherited descriptor ``fd`` and then sleeps: once the byte arrives,
+    a signal meets the run inside that stage."""
+    shim = (
+        "import os, sys, time, flopit.cli\n"
+        "def blocked(*args, **kwargs):\n"
+        f"    os.write({fd}, b'.')\n"
+        "    time.sleep(600)\n"
+        f"flopit.cli.{stage} = blocked\n"
+        "sys.exit(flopit.cli.main(sys.argv[1:]))"
+    )
+    return subprocess.Popen([sys.executable, "-c", shim, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=child_env(),
+                            start_new_session=True, pass_fds=(fd,))
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+def test_interrupt_after_the_read_ends_with_one_line(fixture_dir, tmp_path):
+    # Ctrl-C at a terminal sends SIGINT to the whole process group
+    r, w = os.pipe()
+    with open(r, "rb") as blocked:
+        try:
+            proc = _start_blocked("interpolate_map", w, *interpolate_args(
+                fixture_dir, tmp_path / "x", "--workers", "2"))
+        finally:
+            os.close(w)  # so the read below ends if the child does
+        with proc:
+            try:
+                if blocked.read(1) != b".":
+                    pytest.fail(f"the run ended before the stage: {proc.communicate()[1]}")
+                os.killpg(proc.pid, signal.SIGINT)
+                out, err = proc.communicate(timeout=60)
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+    assert (proc.returncode, out) == (130, ""), err
+    assert err.endswith("\nflopit: interrupted\n") and "Traceback" not in err, err
+    assert err.count("flopit: interrupted") == 1
+    assert list(tmp_path.glob("x_*")) == []
+    with pytest.raises(ProcessLookupError):  # no process is left in the group
+        os.killpg(proc.pid, 0)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")

@@ -118,6 +118,13 @@ def test_write_decimals_range(tmp_path):
     assert not (tmp_path / "bad.asc").exists()
 
 
+@pytest.mark.parametrize("decimals", [-1, 1075])
+def test_write_decimals_fault_is_data_error(tmp_path, decimals):
+    with pytest.raises(FlopitError, match=rf"^decimals must be in \[0, 1074\], got {decimals}$"):
+        write_ascii_grid(make_raster([[1.0]]), tmp_path / "bad.asc", decimals=decimals)
+    assert not (tmp_path / "bad.asc").exists()
+
+
 @pytest.mark.parametrize(
     "shape, cells",
     [((1, 1), 1), ((7, 3), 1), ((7, 3), 5), ((7, 3), 6), ((7, 3), 21), ((7, 3), 10**6),
@@ -329,7 +336,10 @@ def test_nan_in_body_rejected(tmp_path):
         tmp_path / "g.asc",
         "NCOLS 2\nNROWS 1\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n1 nan\n",
     )
-    with pytest.raises(GridParseError, match="NaN"):
+    with pytest.raises(GridParseError, match=(
+        r"^g\.asc: non-finite value nan at cell \(0, 1\); "
+        r"use the nodata sentinel for missing cells$"
+    )):
         read_ascii_grid(f)
 
 
@@ -537,18 +547,37 @@ def test_header_counting_more_cells_than_the_body_can_hold(tmp_path):
         read_ascii_grid(f)
 
 
+def test_header_beyond_the_address_space(tmp_path):
+    # 1.6e19 cells of 8 bytes: rejected at the header, before the body is counted
+    f = write_text(
+        tmp_path / "g.asc",
+        "NCOLS 4000000000\nNROWS 4000000000\nXLLCORNER 0\nYLLCORNER 0\nCELLSIZE 1\n1 2 3\n",
+    )
+    with pytest.raises(GridParseError) as exc:
+        read_ascii_grid(f)
+    assert type(exc.value) is GridParseError
+    assert str(exc.value) == (
+        "g.asc: a 4000000000x4000000000 grid of float64 is more bytes than this "
+        "platform can address"
+    )
+
+
 @pytest.mark.parametrize("block_cells", [1, 3, 12])
 @pytest.mark.parametrize(
     "token, error",
-    [("x2", "cannot parse body token 'x2'"), ("nan", "body contains 'nan'"),
-     ("0x10", "cannot parse body token '0x10'"), ("-inf", "body contains '-inf'")],
+    # the NaN/Inf cases keep ids that name what the body holds
+    [("x2", "cannot parse body token 'x2'"),
+     pytest.param("nan", "non-finite value nan at cell (0, 2)", id="nan-body contains 'nan'"),
+     ("0x10", "cannot parse body token '0x10'"),
+     pytest.param("-inf", "non-finite value -inf at cell (0, 2)",
+                  id="-inf-body contains '-inf'")],
 )
 def test_first_bad_token_reported_across_blocks(tmp_path, block_cells, token, error):
     # a non-finite value early and an unparsable one late: the unparsable
     # one wins, as it does when the whole body is parsed at once
     tokens = list(_TOKENS)
     tokens[10] = token
-    if error.startswith("body contains"):
+    if error.startswith("non-finite"):
         tokens[2] = token
     else:
         tokens[1] = "inf"
