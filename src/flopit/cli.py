@@ -1,8 +1,9 @@
 """Command-line interface: interpolate, compare, synth.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 I/O
-error, 130 interrupted. Diagnostics and progress go to stderr; statistics
-and summaries go to stdout, so pipelines can consume them.
+error, 130 interrupted (SIGINT, Ctrl-C), 143 terminated (SIGTERM).
+Diagnostics and progress go to stderr; statistics and summaries go to
+stdout, so pipelines can consume them.
 """
 
 from __future__ import annotations
@@ -10,12 +11,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import io
 import logging
 import mmap
 import os
+import pickle
+import select
+import signal
 import sys
 import time
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -172,29 +178,112 @@ def _read_into(path: str, fd: int):
     return grid.header
 
 
+def _serve(fn, tasks: list[tuple], take: int, out, mask) -> None:
+    """A forked child's life: with SIGINT and SIGTERM at their default
+    action, run ``fn(*tasks[i])`` for each index byte ``i`` read from
+    ``take``, pickle ``(i, result or exception)`` to ``out``, and leave
+    through ``os._exit``, so that none of the parent's cleanup runs."""
+    code = 1  # a fault of the child's own
+    try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        while index := os.read(take, 1):
+            try:
+                result = fn(*tasks[index[0]])
+            except Exception as exc:
+                result = exc
+            pickle.dump((index[0], result), out)
+            out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(fn, tasks: list[tuple], procs: int) -> list:
+    """``fn(*task)`` for each of ``tasks`` (at most 256) on ``procs``
+    children forked once, in task order, with what ``fn`` raised in
+    place of its result.
+
+    The children take task indices from one pipe filled before the first
+    fork, and each answers through a pipe of its own (``_serve``). Each
+    pipe is read to its end before its child is reaped; no child waits on
+    another, so that order cannot deadlock. A task left unanswered gets a
+    FlopitError saying how a child died. However this returns or raises,
+    no child is left alive or unreaped.
+    """
+    results, died, children = {}, None, {}
+    with contextlib.ExitStack() as opened, warnings.catch_warnings():
+        take, put = os.pipe()
+        opened.callback(os.close, take)
+        with open(put, "wb") as queue:
+            queue.write(bytes(range(len(tasks))))
+        # Python 3.12+ warns at a fork in a process that runs another thread:
+        # here OpenBLAS's idle pool, started by numpy's import. A child never
+        # calls into BLAS, so it needs neither that pool nor its locks.
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
+        try:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+            try:
+                for _ in range(procs):
+                    r, w = os.pipe()
+                    opened.callback(os.close, r)
+                    with open(w, "wb") as out:  # this process's copy closes after the fork
+                        pid = os.fork()
+                        if pid == 0:
+                            _serve(fn, tasks, take, out, mask)
+                    children[pid] = r
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for pid, r in list(children.items()):
+                answers, chunk = io.BytesIO(), b"."
+                while chunk:
+                    # a signal that lands just before a read is handled only once
+                    # the read returns, so wait in select, which returns each second
+                    if select.select([r], [], [], 1)[0]:
+                        chunk = os.read(r, 1 << 16)
+                        answers.write(chunk)
+                answers.seek(0)
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):  # or cut off
+                    while True:
+                        index, result = pickle.load(answers)
+                        results[index] = result
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[pid]
+                if code and died is None:
+                    died = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        finally:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [results[i] if i in results else FlopitError(f"a worker process died: {died}")
+            for i in range(len(tasks))]
+
+
 def _read_forked(paths: list[str], procs: int):
     """The grids at ``paths``, read on ``procs`` forked processes, as an
     iterator in path order. Processes, not threads: numpy's C text
     reader, which parses every block whose tokens are not all one width,
-    holds the GIL. Every grid is read before the first is yielded;
-    ``Executor.map`` then raises a grid's read error, or
-    BrokenProcessPool if a worker died, when the iterator reaches it.
+    holds the GIL. Every grid is read before the first is yielded; a
+    grid's read error, or the death of the child that read it, is raised
+    when the iterator reaches it.
 
-    Each grid has a memory file, made before the fork, so every worker
-    inherits its descriptor. A worker is sent only a grid's path and that
-    descriptor, and runs ``_read_into``; this process maps the file
-    read-only, so a grid's memory lives as long as its Raster. Fork is
-    safe here: this process then runs no thread but OpenBLAS's idle ones.
+    Each grid has a memory file, made before the fork, so every child
+    inherits its descriptor. A child runs ``_read_into`` on a grid's path
+    and that descriptor and sends back only the header; this process
+    maps the file read-only, so a grid's memory lives as long as its
+    Raster. Fork is safe here: this process then runs no thread but
+    OpenBLAS's idle ones.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     with contextlib.ExitStack() as opened:
         files = [opened.enter_context(open(os.memfd_create("flopit-grid"), "r+b"))
                  for _ in paths]
-        with ProcessPoolExecutor(procs, multiprocessing.get_context("fork")) as pool:
-            headers = pool.map(_read_into, paths, [file.fileno() for file in files])
+        headers = _fork_map(_read_into, [(path, file.fileno())
+                                         for path, file in zip(paths, files)], procs)
         for header, file in zip(headers, files):
+            if isinstance(header, Exception):
+                raise header
             with file:  # the map keeps the file's pages
                 values = mmap.mmap(file.fileno(), 8 * header.ncols * header.nrows,
                                    access=mmap.ACCESS_READ)
@@ -306,6 +395,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _interrupt(signum, frame):
+    """SIGTERM's handler in ``main``: raise as Ctrl-C does, with the
+    signal's number, which ``main`` turns into exit 128 + signum."""
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     # glibc raises its mmap threshold to each mmapped chunk it frees, so a
     # run's speed would hang on which large temporaries it frees. Pin it
@@ -329,6 +424,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
+    # SIGTERM takes Ctrl-C's path, so that every ``finally`` runs
+    caller = signal.signal(signal.SIGTERM, _interrupt)
     try:
         return args.run(args)
     except FlopitError as exc:
@@ -337,15 +434,14 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"flopit: error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except BrokenExecutor as exc:  # a worker was killed, by the OOM killer say
-        print(f"flopit: error: a worker process died: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as exc:
         print(f"flopit: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except KeyboardInterrupt:
+    except KeyboardInterrupt as exc:
         print("flopit: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return 128 + exc.args[0] if exc.args else EXIT_INTERRUPTED
+    finally:
+        signal.signal(signal.SIGTERM, caller)
 
 
 if __name__ == "__main__":

@@ -273,16 +273,37 @@ def test_no_memory_file_outlives_a_run(fixture_dir, tmp_path, monkeypatch, fault
     assert _memory_files() == []
     # every memory file was closed, none left to the collector
     assert [w for w in caught if w.category is ResourceWarning] == []
+    with pytest.raises(ChildProcessError):  # no child is left, live or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @_forks
 def test_dead_worker_is_data_error(fixture_dir, tmp_path, capsys, monkeypatch):
     _die_in_workers(monkeypatch)
     assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("flopit: error: a worker process died: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    # the worker's os._exit(1)
+    assert capsys.readouterr().err == "flopit: error: a worker process died: exited with status 1\n"
     assert not (tmp_path / "x_prob.asc").exists()
+
+
+@_forks
+def test_fork_warning_of_python_3_12_is_not_shown(fixture_dir, tmp_path, monkeypatch):
+    # Python 3.12+ warns in the parent after a fork in a process that runs
+    # another thread, such as the OpenBLAS pool numpy's import starts
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == 0
+    assert [w for w in caught if w.category is DeprecationWarning] == []
 
 
 def _run_cli(launcher: str, *argv: str) -> subprocess.CompletedProcess:
@@ -322,12 +343,18 @@ def _start_blocked(stage: str, fd: int, *argv: str) -> subprocess.Popen:
 
 
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
-def test_interrupt_after_the_read_ends_with_one_line(fixture_dir, tmp_path):
+@pytest.mark.parametrize("stage, signum, to_group", [
     # Ctrl-C at a terminal sends SIGINT to the whole process group
+    ("interpolate_map", signal.SIGINT, True),
+    pytest.param("_read_into", signal.SIGINT, True, marks=_forks),
+    # kill PID, as a batch scheduler may send it, reaches the parent alone
+    pytest.param("_read_into", signal.SIGTERM, False, marks=_forks),
+], ids=["after-read-SIGINT-to-group", "read-SIGINT-to-group", "read-SIGTERM-to-parent"])
+def test_interrupt_ends_with_one_line(fixture_dir, tmp_path, stage, signum, to_group):
     r, w = os.pipe()
     with open(r, "rb") as blocked:
         try:
-            proc = _start_blocked("interpolate_map", w, *interpolate_args(
+            proc = _start_blocked(stage, w, *interpolate_args(
                 fixture_dir, tmp_path / "x", "--workers", "2"))
         finally:
             os.close(w)  # so the read below ends if the child does
@@ -335,17 +362,38 @@ def test_interrupt_after_the_read_ends_with_one_line(fixture_dir, tmp_path):
             try:
                 if blocked.read(1) != b".":
                     pytest.fail(f"the run ended before the stage: {proc.communicate()[1]}")
-                os.killpg(proc.pid, signal.SIGINT)
+                if to_group:
+                    os.killpg(proc.pid, signum)
+                else:
+                    os.kill(proc.pid, signum)
                 out, err = proc.communicate(timeout=60)
             finally:
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
-    assert (proc.returncode, out) == (130, ""), err
-    assert err.endswith("\nflopit: interrupted\n") and "Traceback" not in err, err
+    assert (proc.returncode, out) == (128 + signum, ""), err
+    # the last line, and the only one if the read was under way
+    assert ("\n" + err).endswith("\nflopit: interrupted\n") and "Traceback" not in err, err
     assert err.count("flopit: interrupted") == 1
     assert list(tmp_path.glob("x_*")) == []
     with pytest.raises(ProcessLookupError):  # no process is left in the group
         os.killpg(proc.pid, 0)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["synth", "--out", "{tmp}/f", "--ncols", "5", "--nrows", "5"], 0),
+    (["synth", "--shape", "volcano", "--out", "{tmp}/f"], 1),
+    (["synth", "--out", "{tmp}/f", "--slope", "inf"], 2),
+])
+def test_main_leaves_the_callers_sigterm_handler(tmp_path, capsys, argv, code):
+    def handler(signum, frame):
+        pass
+
+    caller = signal.signal(signal.SIGTERM, handler)
+    try:
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, caller)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
