@@ -31,7 +31,7 @@ from .hazard import (
     LayerKind, ReturnPeriodLayer, check_aligned, check_periods, validate_stack,
 )
 from .idw import IdwMode, IdwParams, fill_stack
-from .probability import derive_zones, interpolate_map, pool_size
+from .probability import interpolate_map, pool_size
 from .raster import MAX_DECIMALS, Raster, locked, read_ascii_grid, write_ascii_grid
 from .synth import FixtureShape, FixtureSpec, write_fixture
 from .zonestats import compare_zones, write_stats_csv
@@ -320,22 +320,22 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
                 len(paths), procs, time.perf_counter() - t0, peak)
 
     stack = validate_stack(dem, layers)
+    # a depth layer's surface is a new array; ``grid`` holds the last raw one
+    del layers, grids, grid
     logger.info("stack validated: %d layers, %dx%d cells",
                 len(stack.layers), dem.header.nrows, dem.header.ncols)
     filled = fill_stack(stack, idw)
-    # frees the raw and unfilled grids before evaluation; a forked reader
-    # still holds the map of the last grid it yielded
-    del layers, stack, grids
+    del stack
     method = InterpolationMethod(args.method)
     pm = interpolate_map(filled, None, method, workers=args.workers)
-    zones = derive_zones(filled)
+    del filled
 
     prefix = args.out
     outputs = [
         (pm.probability, f"{prefix}_prob.asc", args.decimals),
         (pm.return_period, f"{prefix}_rp.asc", args.decimals),
         (pm.clamp_flags, f"{prefix}_clamp.asc", 0),
-        (zones.zones, f"{prefix}_zones.asc", args.decimals),
+        (pm.zones, f"{prefix}_zones.asc", args.decimals),
     ]
     # formatting releases the GIL, so threads suffice; the first failure
     # raised is the first in output order

@@ -14,7 +14,7 @@ cell's ground elevation. Coercion rules for cells the curve cannot reach:
 
 The per-cell work is independent, so the grid is processed in the row
 bands of :func:`~flopit.raster.row_bands`, and each band fills its rows of
-all three outputs. The worker count only sets how many bands run at once,
+all four outputs. The worker count only sets how many bands run at once,
 at most one per CPU: the output bytes never depend on it, and each running
 band adds its own temporaries to the peak memory.
 """
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import MIN_KNOT_GAP, Clamped, InterpolationMethod, _evaluate_knot_batch
+from .errors import FlopitError
 from .hazard import HazardStack
 from .idw import IdwParams, fill_stack
 from .raster import DEFAULT_NODATA, GridHeader, Raster, locked, row_bands
@@ -44,6 +45,8 @@ CLAMP_LOW = Clamped.LOW.value
 def pool_size(workers: int, n_tasks: int) -> int:
     """Workers for ``n_tasks`` tasks at a requested ``workers`` (0 = one
     per CPU): at most one per task and one per CPU this process may run on."""
+    if workers < 0:
+        raise FlopitError(f"workers must be >= 0, got {workers}")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -57,12 +60,14 @@ class ProbabilityMap:
 
     ``return_period`` is 1/probability; ``clamp_flags`` records how each
     cell was obtained (0 interpolated, 1 clamped high, 2 clamped low) so
-    the coerced share of a map can be audited.
+    the coerced share of a map can be audited; ``zones`` holds the discrete
+    flood zones of the same stack, as :func:`derive_zones` gives them.
     """
 
     probability: Raster
     return_period: Raster
     clamp_flags: Raster
+    zones: Raster
 
     def clamp_counts(self) -> tuple[int, int, int]:
         """(interior, clamped-high, clamped-low) cell counts."""
@@ -76,6 +81,17 @@ class ZoneRaster:
     (years) whose flood surface lies above the ground there."""
 
     zones: Raster
+
+
+def _set_zones(zones: np.ndarray, stack: HazardStack, rows: slice) -> None:
+    """Set each cell of ``zones``, the grid's ``rows``, whose ground holds
+    data to the smallest return period whose surface holds data strictly
+    above that ground; leave the other cells as they are."""
+    z = stack.dem.values[rows]
+    ground = z != stack.dem.nodata
+    for lyr in reversed(stack.layers):  # descending T; smallest wins last
+        vals = lyr.grid.values[rows]
+        zones[ground & (vals != lyr.grid.nodata) & (vals > z)] = lyr.return_period_years
 
 
 def _output_header(hdr: GridHeader) -> GridHeader:
@@ -109,9 +125,7 @@ def interpolate_map(
     grids = [lyr.grid for lyr in stack.layers]
     p_arr = np.array(stack.probabilities)
     log_p = np.log(p_arr)
-    prob = np.full(out_hdr.shape, nodata)
-    rp = np.full(out_hdr.shape, nodata)
-    flags = np.full(out_hdr.shape, nodata)
+    prob, rp, flags, zones = (np.full(out_hdr.shape, nodata) for _ in range(4))
 
     def run_band(rows: slice) -> np.ndarray:
         """Evaluate one row band into its disjoint slice of the outputs;
@@ -129,6 +143,7 @@ def interpolate_map(
             drops[k] = np.count_nonzero(has & ~keep)
             pattern |= keep.astype(np.uint32) << k
             last = np.where(keep, vals, last)
+        _set_zones(zones[rows], stack, rows)
         # ``has`` is now the rarest layer's extent; a pattern with two or
         # more bits set keeps at least two layers
         cells = np.flatnonzero((z != dem.nodata) & has & (pattern & (pattern - 1) != 0))
@@ -169,6 +184,7 @@ def interpolate_map(
         probability=Raster(out_hdr, locked(prob)),
         return_period=Raster(out_hdr, locked(rp)),
         clamp_flags=Raster(out_hdr, locked(flags)),
+        zones=Raster(out_hdr, locked(zones)),
     )
 
 
@@ -180,11 +196,7 @@ def derive_zones(stack: HazardStack) -> ZoneRaster:
     nodata. Assigning the smallest qualifying period keeps zones nested
     even when raw extents are not.
     """
-    dem = stack.dem
-    out_hdr = _output_header(dem.header)
+    out_hdr = _output_header(stack.dem.header)
     zones = np.full(out_hdr.shape, out_hdr.nodata_value)
-    dem_mask = dem.data_mask
-    for lyr in reversed(stack.layers):  # descending T; smallest wins last
-        covered = lyr.grid.data_mask & (lyr.grid.values > dem.values) & dem_mask
-        zones[covered] = lyr.return_period_years
+    _set_zones(zones, stack, slice(None))
     return ZoneRaster(zones=Raster(out_hdr, locked(zones)))

@@ -12,6 +12,7 @@ import sys
 import time
 import types
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,27 @@ def test_layers_read_on_processes_are_read_only(fixture_dir, tmp_path, monkeypat
     for values, name in zip(seen, names):
         assert not values.flags.writeable
         assert np.array_equal(values, read_ascii_grid(fixture_dir / name).values)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_raw_depth_grids_are_freed_before_the_fill(fixture_dir, tmp_path, monkeypatch, workers):
+    # a depth layer's surface is a new array, so its raw grid is dead
+    # weight through IDW; the last one read must not outlive the loop
+    raw, alive = [], []
+    validate, fill = flopit.cli.validate_stack, flopit.cli.fill_stack
+
+    def validate_spy(dem, layers):
+        raw.extend(weakref.ref(layer.grid.values) for layer in layers)
+        return validate(dem, layers)
+
+    def fill_spy(stack, params):
+        alive.append([ref() is not None for ref in raw])
+        return fill(stack, params)
+
+    monkeypatch.setattr(flopit.cli, "validate_stack", validate_spy)
+    monkeypatch.setattr(flopit.cli, "fill_stack", fill_spy)
+    assert main(depth_args(fixture_dir, tmp_path / "x", "--workers", workers)) == 0
+    assert alive == [[False, False, False]]
 
 
 def test_read_in_the_cli_process_without_memory_files(fixture_dir, tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from flopit import (
     CLAMP_LOW,
     FixtureShape,
     FixtureSpec,
+    FlopitError,
     IdwParams,
     InterpolationMethod,
     LayerKind,
@@ -273,6 +274,9 @@ def test_pool_counts_the_cpus_this_process_may_run_on(monkeypatch):
     assert [probability.pool_size(w, 8) for w in (0, 1, 4)] == [1, 1, 1]
     monkeypatch.delattr(os, "sched_getaffinity")
     assert [probability.pool_size(w, 8) for w in (0, 1, 4)] == [8, 1, 4]
+    # a negative count is the library's data error, worded as the CLI's
+    with pytest.raises(FlopitError, match=r"^workers must be >= 0, got -1$"):
+        probability.pool_size(-1, 8)
 
 
 def test_repeated_runs_bit_identical():

@@ -4,7 +4,7 @@
   (``make_curve`` + ``eval_curve``) gives for that cell's pairs, flag
   included, or nodata where the map has nothing to evaluate, whatever
   each grid's nodata sentinel; the logged per-layer repair drops equal a
-  cell-by-cell count;
+  cell-by-cell count; its zones are ``derive_zones``'s;
 * probabilities stay between the rarest and the most frequent layer's,
   and stay finite for elevations up to the stack's ±1e150 limit and for
   knots down to the smallest float apart;
@@ -133,11 +133,12 @@ def test_map_equals_per_cell_curves(caplog, stack, method, band_cells):
     with mock.patch.object(raster, "_BAND_CELLS", band_cells):
         maps += [interpolate_map(stack, None, method, workers=w) for w in (1, 2, 3)]
     for other in maps[1:]:
-        for name in ("probability", "return_period", "clamp_flags"):
+        for name in ("probability", "return_period", "clamp_flags", "zones"):
             assert (
                 getattr(other, name).values.tobytes()
                 == getattr(maps[0], name).values.tobytes()
             )
+    assert maps[0].zones.values.tobytes() == derive_zones(stack).zones.values.tobytes()
     _assert_cells_equal_curves(stack, method, maps[0])
 
 
