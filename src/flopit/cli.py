@@ -21,20 +21,20 @@ import signal
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curves import InterpolationMethod
 from .errors import FlopitError
-from .hazard import (
-    LayerKind, ReturnPeriodLayer, check_aligned, check_periods, validate_stack,
-)
-from .idw import IdwMode, IdwParams, fill_stack
-from .probability import interpolate_map, pool_size
 from .raster import MAX_DECIMALS, Raster, locked, read_ascii_grid, write_ascii_grid
-from .synth import FixtureShape, FixtureSpec, write_fixture
-from .zonestats import compare_zones, write_stats_csv
+
+if TYPE_CHECKING:
+    from .hazard import LayerKind
+
+# Each command imports the modules it runs inside its ``cmd_*``, and its
+# parser imports those its options name only when the command is chosen
+# (``_CommandParser``), so that a process loads, and compiles if it has no
+# bytecode cache, only what its command needs.
 
 # by name, not __name__: under ``python -m flopit.cli`` that is "__main__"
 logger = logging.getLogger("flopit.cli")
@@ -46,6 +46,8 @@ EXIT_IO = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 def _parse_layer(text: str) -> tuple[float, LayerKind, str]:
+    from .hazard import LayerKind
+
     parts = text.split(":", 2)
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -91,6 +93,24 @@ def _parse_level(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"bad level spec {text!r}") from None
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which ``options(self)`` fills in on its first
+    parse. argparse parses only the chosen command's arguments, through
+    its parser's ``parse_known_args``, so the other commands' options,
+    and the modules that define their choices and defaults, are never
+    loaded."""
+
+    def __init__(self, *args, options, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._options = options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._options is not None:
+            options, self._options = self._options, None
+            options(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flopit", description=__doc__)
     parser.add_argument(
@@ -99,13 +119,25 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["debug", "info", "warning", "error"],
         help="verbosity of diagnostics on stderr",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_int = sub.add_parser(
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub.add_parser(
         "interpolate",
         help="interpolate a continuous flood probability map",
-    )
-    p_int.set_defaults(run=cmd_interpolate)
+        options=_interpolate_options,
+    ).set_defaults(run=cmd_interpolate)
+    sub.add_parser(
+        "compare", help="per-zone statistics of a probability map", options=_compare_options,
+    ).set_defaults(run=cmd_compare)
+    sub.add_parser(
+        "synth", help="write a synthetic terrain fixture", options=_synth_options,
+    ).set_defaults(run=cmd_synth)
+    return parser
+
+
+def _interpolate_options(p_int: argparse.ArgumentParser) -> None:
+    from .curves import InterpolationMethod
+    from .idw import IdwMode, IdwParams
+
     p_int.add_argument("--dem", required=True, help="DEM raster (ESRI ASCII grid)")
     p_int.add_argument(
         "--layer",
@@ -142,14 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"output decimal places, 0 to {MAX_DECIMALS}",
     )
 
-    p_cmp = sub.add_parser("compare", help="per-zone statistics of a probability map")
-    p_cmp.set_defaults(run=cmd_compare)
+
+def _compare_options(p_cmp: argparse.ArgumentParser) -> None:
     p_cmp.add_argument("--prob", required=True, help="probability raster")
     p_cmp.add_argument("--zones", required=True, help="zone raster")
     p_cmp.add_argument("--out", required=True, help="output CSV path")
 
-    p_syn = sub.add_parser("synth", help="write a synthetic terrain fixture")
-    p_syn.set_defaults(run=cmd_synth)
+
+def _synth_options(p_syn: argparse.ArgumentParser) -> None:
+    from .synth import FixtureShape, FixtureSpec
+
     p_syn.add_argument(
         "--shape", default="ramp", choices=[s.value for s in FixtureShape]
     )
@@ -166,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="T:WSE",
         help="return period and constant surface elevation; repeatable",
     )
-    return parser
 
 
 def _read_into(path: str, fd: int):
@@ -291,6 +324,13 @@ def _read_forked(paths: list[str], procs: int):
 
 
 def cmd_interpolate(args: argparse.Namespace) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .curves import InterpolationMethod
+    from .hazard import ReturnPeriodLayer, check_aligned, check_periods, validate_stack
+    from .idw import IdwMode, IdwParams, fill_stack
+    from .probability import interpolate_map, pool_size
+
     idw = IdwParams(
         power=args.idw_power,
         radius_cells=args.idw_radius,
@@ -371,6 +411,8 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .zonestats import compare_zones, write_stats_csv
+
     stats = compare_zones(read_ascii_grid(args.prob), read_ascii_grid(args.zones))
     if not stats:
         raise FlopitError("no cells in any zone")
@@ -381,6 +423,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import FixtureShape, FixtureSpec, write_fixture
+
     levels = tuple(args.level) or FixtureSpec.wse_levels
     spec = FixtureSpec(
         shape=FixtureShape(args.shape),
@@ -444,5 +488,25 @@ def main(argv: list[str] | None = None) -> int:
         signal.signal(signal.SIGTERM, caller)
 
 
+def run() -> int:
+    """The ``flopit`` script and ``python -m flopit.cli``: run ``main``
+    on this process's arguments, flush stdout and stderr, shut logging
+    down, and end through ``os._exit``, which skips the interpreter's
+    teardown of every module and object. In dev mode (``-X dev`` or
+    PYTHONDEVMODE), or if a flush fails, return ``main``'s exit code
+    instead, so that the interpreter's own exit reports a leak, or the
+    failed flush, as it would without this wrapper."""
+    code = main()
+    if sys.flags.dev_mode:
+        return code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a closed pipe, a full disk, a stream that is None
+        return code
+    logging.shutdown()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

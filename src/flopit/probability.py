@@ -151,7 +151,11 @@ def interpolate_map(
 
         band_prob = prob[rows].reshape(-1)
         band_flags = flags[rows].reshape(-1)
-        for pat in np.unique(pattern):
+        # each pattern once, ascending, as np.unique gives them: its hash table
+        # is slower on a band's few patterns, and numpy 2's np.unique imports
+        # numpy.ma on its first call
+        ordered = np.sort(pattern)
+        for pat in np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])):
             sel = pattern == pat
             at, z_pat = cells[sel], z[sel]
             bits = [k for k in range(len(grids)) if pat >> k & 1]

@@ -10,14 +10,18 @@ T and 1/mean(p) are different numbers and both get quoted in practice.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AlignmentError, FlopitError
-from .probability import ProbabilityMap, ZoneRaster
 from .raster import Raster, grids_aligned
+
+if TYPE_CHECKING:
+    from .probability import ProbabilityMap, ZoneRaster
 
 CSV_HEADER = ["zone_T", "n_cells", "min", "q1", "median", "q3", "max", "mean_T", "mean_p"]
 
@@ -52,10 +56,14 @@ def compare_zones(
     the first probability data cell outside (0, 1) or zone data cell not
     above 1 year.
     """
-    if isinstance(probability, ProbabilityMap):
-        probability = probability.probability
-    if isinstance(zones, ZoneRaster):
-        zones = zones.zones
+    # a ProbabilityMap or ZoneRaster exists only once its module is loaded,
+    # so comparing two rasters need not load it
+    module = sys.modules.get(f"{__package__}.probability")
+    if module is not None:
+        if isinstance(probability, module.ProbabilityMap):
+            probability = probability.probability
+        if isinstance(zones, module.ZoneRaster):
+            zones = zones.zones
     if not grids_aligned(probability.header, zones.header):
         raise AlignmentError("probability and zone rasters are not aligned")
     p_all, t_all = probability.values, zones.values

@@ -19,11 +19,15 @@ import numpy as np
 import pytest
 
 import flopit.cli
+import flopit.hazard
+import flopit.idw
+import flopit.probability
+import flopit.synth
 from flopit import read_ascii_grid, write_ascii_grid
 from flopit.cli import main
 from flopit.curves import InterpolationMethod
 from flopit.errors import AlignmentError
-from flopit.idw import IdwParams
+from flopit.idw import IdwMode, IdwParams
 from flopit.probability import interpolate_map
 from flopit.raster import Raster, locked
 from flopit.synth import FixtureShape, FixtureSpec
@@ -165,13 +169,13 @@ def test_first_bad_layer_reports_same_error_across_workers(fixture_dir, tmp_path
 
 def test_layers_read_on_processes_are_read_only(fixture_dir, tmp_path, monkeypatch):
     seen = []
-    validate = flopit.cli.validate_stack
+    validate = flopit.hazard.validate_stack
 
     def spy(dem, layers):
         seen.extend([dem.values] + [layer.grid.values for layer in layers])
         return validate(dem, layers)
 
-    monkeypatch.setattr(flopit.cli, "validate_stack", spy)
+    monkeypatch.setattr(flopit.hazard, "validate_stack", spy)
     assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == 0
     names = ["dem.asc", "wse_T10.asc", "wse_T100.asc", "wse_T500.asc"]
     assert len(seen) == len(names)
@@ -185,7 +189,7 @@ def test_raw_depth_grids_are_freed_before_the_fill(fixture_dir, tmp_path, monkey
     # a depth layer's surface is a new array, so its raw grid is dead
     # weight through IDW; the last one read must not outlive the loop
     raw, alive = [], []
-    validate, fill = flopit.cli.validate_stack, flopit.cli.fill_stack
+    validate, fill = flopit.hazard.validate_stack, flopit.idw.fill_stack
 
     def validate_spy(dem, layers):
         raw.extend(weakref.ref(layer.grid.values) for layer in layers)
@@ -195,8 +199,8 @@ def test_raw_depth_grids_are_freed_before_the_fill(fixture_dir, tmp_path, monkey
         alive.append([ref() is not None for ref in raw])
         return fill(stack, params)
 
-    monkeypatch.setattr(flopit.cli, "validate_stack", validate_spy)
-    monkeypatch.setattr(flopit.cli, "fill_stack", fill_spy)
+    monkeypatch.setattr(flopit.hazard, "validate_stack", validate_spy)
+    monkeypatch.setattr(flopit.idw, "fill_stack", fill_spy)
     assert main(depth_args(fixture_dir, tmp_path / "x", "--workers", workers)) == 0
     assert alive == [[False, False, False]]
 
@@ -277,13 +281,13 @@ def test_no_memory_file_outlives_a_run(fixture_dir, tmp_path, monkeypatch, fault
 
         monkeypatch.setattr(os, "memfd_create", fail_on_third)
     held = []
-    validate = flopit.cli.validate_stack
+    validate = flopit.hazard.validate_stack
 
     def spy(dem, layers):
         held.append(len(_memory_files()))
         return validate(dem, layers)
 
-    monkeypatch.setattr(flopit.cli, "validate_stack", spy)
+    monkeypatch.setattr(flopit.hazard, "validate_stack", spy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         assert main(interpolate_args(fixture_dir, tmp_path / "x", "--workers", "2")) == code
@@ -348,15 +352,17 @@ def test_cli_runs_without_the_resource_module(fixture_dir, tmp_path):
 
 def _start_blocked(stage: str, fd: int, *argv: str) -> subprocess.Popen:
     """Start the CLI with ``argv`` in a fresh process and session, its
-    ``flopit.cli.<stage>`` replaced by a call that writes one byte to the
-    inherited descriptor ``fd`` and then sleeps: once the byte arrives,
-    a signal meets the run inside that stage."""
+    ``stage`` (a module's dotted name and the name of a function in it)
+    replaced by a call that writes one byte to the inherited descriptor
+    ``fd`` and then sleeps: once the byte arrives, a signal meets the run
+    inside that stage."""
+    module, name = stage.rsplit(".", 1)
     shim = (
-        "import os, sys, time, flopit.cli\n"
+        "import importlib, os, sys, time, flopit.cli\n"
         "def blocked(*args, **kwargs):\n"
         f"    os.write({fd}, b'.')\n"
         "    time.sleep(600)\n"
-        f"flopit.cli.{stage} = blocked\n"
+        f"setattr(importlib.import_module({module!r}), {name!r}, blocked)\n"
         "sys.exit(flopit.cli.main(sys.argv[1:]))"
     )
     return subprocess.Popen([sys.executable, "-c", shim, *argv], stdout=subprocess.PIPE,
@@ -367,10 +373,10 @@ def _start_blocked(stage: str, fd: int, *argv: str) -> subprocess.Popen:
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
 @pytest.mark.parametrize("stage, signum, to_group", [
     # Ctrl-C at a terminal sends SIGINT to the whole process group
-    ("interpolate_map", signal.SIGINT, True),
-    pytest.param("_read_into", signal.SIGINT, True, marks=_forks),
+    ("flopit.probability.interpolate_map", signal.SIGINT, True),
+    pytest.param("flopit.cli._read_into", signal.SIGINT, True, marks=_forks),
     # kill PID, as a batch scheduler may send it, reaches the parent alone
-    pytest.param("_read_into", signal.SIGTERM, False, marks=_forks),
+    pytest.param("flopit.cli._read_into", signal.SIGTERM, False, marks=_forks),
 ], ids=["after-read-SIGINT-to-group", "read-SIGINT-to-group", "read-SIGTERM-to-parent"])
 def test_interrupt_ends_with_one_line(fixture_dir, tmp_path, stage, signum, to_group):
     r, w = os.pipe()
@@ -449,8 +455,8 @@ def test_write_line_reports_bytes_and_rate(fixture_dir, tmp_path, capsys):
 
 def test_cli_defaults_are_the_library_defaults(fixture_dir, tmp_path, monkeypatch):
     seen = {}
-    fill, interpolate, write = (flopit.cli.fill_stack, flopit.cli.interpolate_map,
-                                flopit.cli.write_fixture)
+    fill, interpolate, write = (flopit.idw.fill_stack, flopit.probability.interpolate_map,
+                                flopit.synth.write_fixture)
 
     def fill_spy(stack, idw):
         seen["idw"] = idw
@@ -464,15 +470,27 @@ def test_cli_defaults_are_the_library_defaults(fixture_dir, tmp_path, monkeypatc
         seen["spec"] = spec
         return write(spec, out)
 
-    monkeypatch.setattr(flopit.cli, "fill_stack", fill_spy)
-    monkeypatch.setattr(flopit.cli, "interpolate_map", interpolate_spy)
-    monkeypatch.setattr(flopit.cli, "write_fixture", write_spy)
+    monkeypatch.setattr(flopit.idw, "fill_stack", fill_spy)
+    monkeypatch.setattr(flopit.probability, "interpolate_map", interpolate_spy)
+    monkeypatch.setattr(flopit.synth, "write_fixture", write_spy)
     assert main(interpolate_args(fixture_dir, tmp_path / "x")) == 0
     assert main(["synth", "--shape", "valley", "--out", str(tmp_path / "fx")]) == 0
     assert seen["idw"] == IdwParams()
     method = inspect.signature(interpolate_map).parameters["method"].default
     assert seen["method"] is method is InterpolationMethod.MONOTONE_CUBIC
     assert seen["spec"] == FixtureSpec(FixtureShape.VALLEY)
+
+
+@pytest.mark.parametrize("command, enums", [
+    ("interpolate", (InterpolationMethod, IdwMode)),
+    ("synth", (FixtureShape,)),
+])
+def test_help_lists_every_choice(capsys, command, enums):
+    # a command's options are added only when it is chosen
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    choices = [set(group.split(",")) for group in re.findall(r"\{([^}]*)\}", usage)]
+    assert choices == [{member.value for member in enum} for enum in enums]
 
 
 def test_grids_written_in_the_cli_process(fixture_dir, tmp_path, monkeypatch):
@@ -612,7 +630,7 @@ def test_synth_beyond_addressable_is_data_error(tmp_path, capsys, monkeypatch, b
     def no_write(*args, **kwargs):
         raise AssertionError("a fixture was generated")
 
-    monkeypatch.setattr(flopit.cli, "write_fixture", no_write)
+    monkeypatch.setattr(flopit.synth, "write_fixture", no_write)
     assert main(["synth", "--out", str(tmp_path / "f"), *big]) == 2
     err = capsys.readouterr().err
     assert err.startswith("flopit: error: a ") and "more bytes than" in err
@@ -742,7 +760,7 @@ def test_more_than_32_layers_is_data_error(tmp_path, capsys, monkeypatch):
     def no_idw(*args, **kwargs):
         raise AssertionError("IDW ran before the stack was validated")
 
-    monkeypatch.setattr(flopit.cli, "fill_stack", no_idw)
+    monkeypatch.setattr(flopit.idw, "fill_stack", no_idw)
     write_ascii_grid(make_raster(np.zeros((3, 3))), tmp_path / "dem.asc")
     args = ["interpolate", "--dem", str(tmp_path / "dem.asc"), "--out", str(tmp_path / "x")]
     for t in range(2, 35):

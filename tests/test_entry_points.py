@@ -1,9 +1,12 @@
 """The command line as a user runs it: each command in a child process,
 started in a directory outside the source tree, through every entry point
-this interpreter has."""
+this interpreter has. A run outside dev mode ends through ``os._exit``,
+so these tests also run without ``-X dev``."""
 
 import csv
+import os
 import re
+import signal
 import subprocess
 import sys
 import sysconfig
@@ -142,3 +145,149 @@ def test_fault_exits_with_one_message_and_no_output(flopit, argv, code, stderr):
     assert (run.returncode, run.stdout) == (code, "")
     assert re.fullmatch(stderr, run.stderr) and "Traceback" not in run.stderr, run.stderr
     assert list(flopit.cwd.glob(f"{argv[-1]}*")) == []
+
+
+def _python(flopit, code: str, *argv: str, env=None) -> subprocess.CompletedProcess:
+    """Run ``code`` as a Python script in the entry point's directory and
+    environment (``env`` if given), with the flopit that entry point runs."""
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=flopit.cwd,
+                          env=flopit.env if env is None else env, capture_output=True, text=True)
+
+
+def _exit_envs(flopit) -> dict[str, dict[str, str]]:
+    """The entry point's environment with stdout block-buffered into a
+    pipe, out of dev mode (``os._exit``) and in it (the full teardown)."""
+    env = {name: value for name, value in flopit.env.items()
+           if name not in ("PYTHONDEVMODE", "PYTHONUNBUFFERED")}
+    return {"os._exit": env, "teardown": {**env, "PYTHONDEVMODE": "1"}}
+
+
+# python -m flopit.cli, with an exit handler that shows whether the
+# interpreter's teardown ran
+AS_MAIN = ("import atexit, os, runpy\n"
+           "atexit.register(os.write, 2, b'teardown\\n')\n"
+           "runpy.run_module('flopit.cli', run_name='__main__', alter_sys=True)")
+
+
+# a launcher that imports flopit itself runs the same flopit under either
+# entry point, so these tests run it once
+module_only = pytest.mark.parametrize("flopit", ["module"], indirect=True)
+
+
+@module_only
+@pytest.mark.parametrize("command", ["compare", "interpolate"])
+def test_a_run_loads_only_what_it_runs(flopit, default_run, command):
+    argv = {"compare": ["--prob", "run_prob.asc", "--zones", "run_zones.asc", "--out", "loads.csv"],
+            "interpolate": ["--dem", "fx/dem.asc", *layers(), "--out", "loads"]}[command]
+    run = _python(flopit, "import sys, flopit.cli\n"
+                          "before = set(sys.modules)\n"
+                          "code = flopit.cli.main(sys.argv[1:])\n"
+                          "print(*sorted(sys.modules))\n"
+                          "print(*sorted(sys.modules.keys() - before))\n"
+                          "sys.exit(code)", command, *argv)
+    assert run.returncode == 0, run.stderr
+    loaded, during = (set(line.split()) for line in run.stdout.splitlines()[-2:])
+    if command == "compare":
+        assert {"flopit.raster", "flopit.zonestats"} <= loaded
+        assert loaded.isdisjoint({"flopit.idw", "flopit.curves", "flopit.synth",
+                                  "flopit.hazard", "flopit.probability", "concurrent.futures"})
+    else:
+        # such as numpy.ma, which numpy 2's np.unique imports on its first
+        # call (compare's np.percentile still does)
+        assert not {name for name in during if name.partition(".")[0] == "numpy"}
+
+
+@module_only
+def test_import_flopit_loads_no_submodule(flopit):
+    run = _python(flopit, "import sys, flopit\n"
+                          "print(*sorted(name for name in sys.modules if name.startswith('flopit.')))")
+    assert run.returncode == 0, run.stderr
+    assert set(run.stdout.split()) <= {"flopit.errors"}
+
+
+@module_only
+def test_every_public_name_is_its_modules(flopit):
+    run = _python(flopit, """import importlib, flopit
+star = {}
+exec("from flopit import *", star)
+assert sorted(star.keys() - {"__builtins__"}) == flopit.__all__
+for name in flopit.__all__:
+    home = importlib.import_module(f"flopit.{flopit._MODULE_OF[name]}")
+    value = getattr(home, name)
+    assert getattr(flopit, name) is value is star[name], name
+    if isinstance(value, type) or callable(value):  # defined there, not imported
+        assert value.__module__ == home.__name__, name
+assert set(flopit.__all__) <= set(dir(flopit))
+try:
+    flopit.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+""")
+    assert run.returncode == 0, run.stderr
+
+
+@module_only
+@pytest.mark.parametrize("ending", ["os._exit", "teardown"])
+def test_run_delivers_every_line_through_pipes(flopit, default_run, ending):
+    # out of dev mode the run skips the teardown, and with it the exit
+    # handler, but flushes both streams first
+    run = _python(flopit, AS_MAIN, "interpolate", "--dem", "fx/dem.asc", *layers(),
+                  "--out", f"exit_{ending}", env=_exit_envs(flopit)[ending])
+    assert run.returncode == 0, run.stderr
+    assert re.fullmatch("".join(rf"{name} \d+\n" for name in SUMMARY), run.stdout)
+    lines = run.stderr.splitlines()
+    if ending == "teardown":
+        assert lines.pop() == "teardown"
+    assert len(lines) == len(default_run.stderr.splitlines())
+    assert all(line.startswith("INFO flopit.cli: ") for line in lines), run.stderr
+    assert flopit.grids(f"exit_{ending}") == flopit.grids("run")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["compare", "--prob", "run_prob.asc", "--zones", "run_zones.asc", "--out", "c.csv"], 0),
+    (["compare", "--prob", "run_prob.asc"], 1),
+    (["synth", "--out", "inf", "--slope", "inf"], 2),
+    (["compare", "--prob", "none.asc", "--zones", "run_zones.asc", "--out", "c.csv"], 3),
+], ids=["ok", "usage", "data", "io"])
+def test_exit_codes(flopit, default_run, argv, code):
+    run = flopit(*argv)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+
+
+@module_only
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_interrupt_exit_codes(flopit, default_run, signum):
+    # the signal arrives during evaluation, as if sent from outside
+    launcher = ("import signal, flopit.probability\n"
+                "def interrupted(*args, **kwargs):\n"
+                f"    signal.raise_signal({int(signum)})\n"
+                "flopit.probability.interpolate_map = interrupted\n" + AS_MAIN)
+    for ending, env in _exit_envs(flopit).items():
+        run = _python(flopit, launcher, "interpolate", "--dem", "fx/dem.asc", *layers(),
+                      "--out", "stopped", env=env)
+        assert (run.returncode, run.stdout) == (128 + signum, ""), run.stderr
+        last = ["flopit: interrupted"] + (["teardown"] if ending == "teardown" else [])
+        assert run.stderr.splitlines()[-len(last):] == last, run.stderr
+        assert "Traceback" not in run.stderr
+        assert list(flopit.cwd.glob("stopped*")) == []
+
+
+def test_closed_stdout_pipe_ends_as_without_os_exit(flopit, default_run):
+    # a block-buffered stdout meets the closed pipe only when flushed at the
+    # end: the interpreter's own exit then reports it in one line
+    runs = {}
+    for ending, env in _exit_envs(flopit).items():
+        r, w = os.pipe()
+        os.close(r)
+        with open(w, "wb") as closed:
+            runs[ending] = subprocess.run(
+                [*flopit.command, "compare", "--prob", "run_prob.asc", "--zones", "run_zones.asc",
+                 "--out", "pipe.csv"], cwd=flopit.cwd, env=env, stdout=closed,
+                stderr=subprocess.PIPE, text=True)
+    fast, full = runs["os._exit"], runs["teardown"]
+    assert (fast.returncode, fast.stderr) == (full.returncode, full.stderr)
+    assert fast.returncode == 120 and "BrokenPipeError" in fast.stderr
+    assert "Traceback" not in fast.stderr and len(fast.stderr.splitlines()) == 2, fast.stderr
