@@ -320,7 +320,8 @@ def _read_forked(paths: list[str], procs: int):
             with file:  # the map keeps the file's pages
                 values = mmap.mmap(file.fileno(), 8 * header.ncols * header.nrows,
                                    access=mmap.ACCESS_READ)
-            yield Raster(header, locked(np.frombuffer(values).reshape(header.shape)))
+            # the child's read_ascii_grid has scanned these values
+            yield Raster._derived(header, locked(np.frombuffer(values).reshape(header.shape)))
 
 
 def cmd_interpolate(args: argparse.Namespace) -> int:

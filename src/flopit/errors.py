@@ -2,9 +2,10 @@
 
 :class:`FlopitError`, a ``ValueError``, and its subclasses indicate a problem
 with the input data or its combination (exit code 2 on the command line);
-``GridHeader``, ``Raster``, ``write_ascii_grid`` and the parameter objects
-``IdwParams`` and ``FixtureSpec`` raise it too. Plain ``OSError`` is left
-alone and signals an I/O failure (exit code 3).
+``GridHeader``, ``Raster``, ``write_ascii_grid``, the parameter objects
+``IdwParams`` and ``FixtureSpec``, and ``interpolate_map`` given
+``workers < 0`` (through ``pool_size``) raise it too. Plain ``OSError`` is
+left alone and signals an I/O failure (exit code 3).
 """
 
 

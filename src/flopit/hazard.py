@@ -78,12 +78,31 @@ class ReturnPeriodLayer:
 @dataclass(frozen=True)
 class HazardStack:
     """Validated bundle: DEM plus 2 to 32 WSE layers sorted by ascending T,
-    every data value within ±MAX_ABS_ELEVATION."""
+    aligned with the DEM, every data value within ±MAX_ABS_ELEVATION. The
+    constructor checks all of this; a stack whose grids flopit derived
+    from a checked stack's, by steps that keep every value in range, is
+    built without the scan of every cell."""
 
     dem: Raster
     layers: tuple[ReturnPeriodLayer, ...] = field(default=())
 
     def __post_init__(self):
+        self._check_layers()
+        named = [("DEM", self.dem)] + [
+            (f"layer T={lyr.return_period_years:g}", lyr.grid) for lyr in self.layers
+        ]
+        for name, grid in named:
+            huge = grid.data_mask & (np.abs(grid.values) > MAX_ABS_ELEVATION)
+            if huge.any():
+                r, c = np.argwhere(huge)[0]
+                raise StackError(
+                    f"{name}: value {grid.values[r, c]:g} at cell ({r}, {c}) is "
+                    f"beyond ±{MAX_ABS_ELEVATION:g}"
+                )
+
+    def _check_layers(self) -> None:
+        """Raise unless the layers' periods, order, kinds and grids can make
+        a stack: every check but the scan of every cell."""
         periods = [lyr.return_period_years for lyr in self.layers]
         check_periods(periods)
         if periods != sorted(periods):
@@ -96,17 +115,17 @@ class HazardStack:
                 )
             check_aligned(self.dem, lyr.grid.header,
                           f"layer T={lyr.return_period_years:g} grid")
-        named = [("DEM", self.dem)] + [
-            (f"layer T={lyr.return_period_years:g}", lyr.grid) for lyr in self.layers
-        ]
-        for name, grid in named:
-            huge = grid.data_mask & (np.abs(grid.values) > MAX_ABS_ELEVATION)
-            if huge.any():
-                r, c = np.argwhere(huge)[0]
-                raise StackError(
-                    f"{name}: value {grid.values[r, c]:g} at cell ({r}, {c}) is "
-                    f"beyond ±{MAX_ABS_ELEVATION:g}"
-                )
+
+    @classmethod
+    def _derived(cls, dem: Raster, layers: tuple[ReturnPeriodLayer, ...]) -> HazardStack:
+        """A stack of grids derived from a checked stack's by steps that
+        keep every value in range: checked as the constructor checks it,
+        but for the scan of every cell."""
+        stack = cls.__new__(cls)
+        object.__setattr__(stack, "dem", dem)
+        object.__setattr__(stack, "layers", layers)
+        stack._check_layers()
+        return stack
 
     @property
     def periods(self) -> tuple[float, ...]:

@@ -215,7 +215,9 @@ def _idw(wse: Raster, params: IdwParams, smooth: bool) -> Raster:
         blend = cand[band] & mask[band]
         if blend.any():
             np.copyto(out[band], 0.5 * values[band] + 0.5 * out[band], where=blend)
-    return Raster(wse.header, locked(out))
+    # every estimate is clipped into its neighbours' range and every blend
+    # is convex, so no value leaves the range of ``wse``'s data
+    return Raster._derived(wse.header, locked(out))
 
 
 def idw_fill(wse: Raster, params: IdwParams | None = None) -> Raster:
@@ -242,7 +244,9 @@ def idw_smooth(wse: Raster, params: IdwParams | None = None) -> Raster:
 
 def fill_stack(stack: HazardStack, params: IdwParams | None = None) -> HazardStack:
     """Apply the configured IDW pass to every layer of a stack; a stack it
-    leaves unchanged comes back itself rather than checked again."""
+    leaves unchanged comes back itself. IDW keeps each layer within the
+    range of its data, so the new stack, like each filled grid, is not
+    scanned again for the values that the input stack was checked for."""
     params = params or IdwParams()
     op = idw_smooth if params.mode is IdwMode.SMOOTH_ALL else idw_fill
     grids = [op(lyr.grid, params) for lyr in stack.layers]
@@ -252,4 +256,4 @@ def fill_stack(stack: HazardStack, params: IdwParams | None = None) -> HazardSta
         ReturnPeriodLayer(lyr.return_period_years, lyr.kind, grid)
         for lyr, grid in zip(stack.layers, grids)
     )
-    return HazardStack(dem=stack.dem, layers=layers)
+    return HazardStack._derived(stack.dem, layers)

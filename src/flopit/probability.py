@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -83,15 +84,17 @@ class ZoneRaster:
     zones: Raster
 
 
-def _set_zones(zones: np.ndarray, stack: HazardStack, rows: slice) -> None:
+def _set_zones(zones: np.ndarray, stack: HazardStack, rows: slice) -> np.ndarray:
     """Set each cell of ``zones``, the grid's ``rows``, whose ground holds
     data to the smallest return period whose surface holds data strictly
-    above that ground; leave the other cells as they are."""
+    above that ground; leave the other cells as they are. Returns the
+    rows' mask of cells whose ground holds data."""
     z = stack.dem.values[rows]
     ground = z != stack.dem.nodata
     for lyr in reversed(stack.layers):  # descending T; smallest wins last
         vals = lyr.grid.values[rows]
         zones[ground & (vals != lyr.grid.nodata) & (vals > z)] = lyr.return_period_years
+    return ground
 
 
 def _output_header(hdr: GridHeader) -> GridHeader:
@@ -143,10 +146,10 @@ def interpolate_map(
             drops[k] = np.count_nonzero(has & ~keep)
             pattern |= keep.astype(np.uint32) << k
             last = np.where(keep, vals, last)
-        _set_zones(zones[rows], stack, rows)
+        ground = _set_zones(zones[rows], stack, rows).reshape(-1)
         # ``has`` is now the rarest layer's extent; a pattern with two or
         # more bits set keeps at least two layers
-        cells = np.flatnonzero((z != dem.nodata) & has & (pattern & (pattern - 1) != 0))
+        cells = np.flatnonzero(ground & has & (pattern & (pattern - 1) != 0))
         z, pattern = z[cells], pattern[cells]
 
         band_prob = prob[rows].reshape(-1)
@@ -184,11 +187,17 @@ def interpolate_map(
                 "monotonicity repair dropped layer T=%g at %d cells",
                 stack.periods[k], int(n_drop),
             )
+    # a data cell holds a flag, one of the stack's T, a p that evaluation
+    # (which cannot overflow within the stack's ±1e150) clips between two of
+    # the stack's, or 1/p for such a p: at most 1/p of the rarest layer,
+    # which only a subnormal p can round past the largest float, so only
+    # then is the return period scanned
+    rp_raster = Raster._derived if math.isfinite(1 / stack.probabilities[-1]) else Raster
     return ProbabilityMap(
-        probability=Raster(out_hdr, locked(prob)),
-        return_period=Raster(out_hdr, locked(rp)),
-        clamp_flags=Raster(out_hdr, locked(flags)),
-        zones=Raster(out_hdr, locked(zones)),
+        probability=Raster._derived(out_hdr, locked(prob)),
+        return_period=rp_raster(out_hdr, locked(rp)),
+        clamp_flags=Raster._derived(out_hdr, locked(flags)),
+        zones=Raster._derived(out_hdr, locked(zones)),
     )
 
 

@@ -104,6 +104,18 @@ class Raster:
     values: np.ndarray
 
     def __post_init__(self):
+        self._adopt()
+        bad = ~np.isfinite(self.values)
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            raise FlopitError(
+                f"non-finite value {self.values[r, c]} at cell ({r}, {c}); "
+                f"use the nodata sentinel for missing cells"
+            )
+
+    def _adopt(self) -> None:
+        """Hold ``values`` as a read-only float64 array of the header's
+        shape, copied if it was writeable."""
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.shape != self.header.shape:
             raise FlopitError(
@@ -112,14 +124,18 @@ class Raster:
         if arr.flags.writeable:
             arr = arr.copy()
             arr.flags.writeable = False
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            raise FlopitError(
-                f"non-finite value {arr[r, c]} at cell ({r}, {c}); "
-                f"use the nodata sentinel for missing cells"
-            )
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _derived(cls, header: GridHeader, values: np.ndarray) -> Raster:
+        """A Raster of values derived from checked grids by steps that
+        cannot make a NaN/Inf: checked as the constructor checks them,
+        but for the scan of every cell."""
+        raster = cls.__new__(cls)
+        object.__setattr__(raster, "header", header)
+        object.__setattr__(raster, "values", values)
+        raster._adopt()
+        return raster
 
     @property
     def nodata(self) -> float:

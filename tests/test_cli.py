@@ -1,5 +1,6 @@
 """Command-line behaviour: wiring, exit codes, determinism."""
 
+import collections
 import contextlib
 import errno
 import gc
@@ -222,6 +223,65 @@ def test_read_in_the_cli_process_without_memory_files(fixture_dir, tmp_path, mon
     assert pids == [os.getpid()] * 4
     for suffix in ("_prob.asc", "_rp.asc", "_clamp.asc", "_zones.asc"):
         assert (tmp_path / f"w2{suffix}").read_bytes() == (tmp_path / f"w1{suffix}").read_bytes()
+
+
+def benchmark_shaped_args(tmp_path, workload):
+    """A small run shaped like a benchmark workload: wse8-interior's ramp
+    under 8 WSE surfaces, filled, or noisy-depth-smooth's noisy ramp
+    under 4 depth grids, smoothed."""
+    wse8 = workload == "wse8-interior"
+    periods = (2, 5, 10, 25, 50, 100, 250, 500) if wse8 else (10, 50, 100, 500)
+    spec = FixtureSpec(
+        FixtureShape.RAMP if wse8 else FixtureShape.NOISY_RAMP, ncols=30, nrows=24,
+        slope=1 / 3, wse_levels=tuple((t, 0.5 + k) for k, t in enumerate(periods)), seed=1,
+    )
+    fixture = tmp_path / workload
+    flopit.synth.write_fixture(spec, fixture)
+    args = ["interpolate", "--dem", str(fixture / "dem.asc"), "--out", str(fixture / "x"),
+            "--idw-mode", "fill" if wse8 else "smooth"]
+    dem = read_ascii_grid(fixture / "dem.asc")
+    for t in periods:
+        path = fixture / f"wse_T{t}.asc"
+        if not wse8:
+            wse = read_ascii_grid(path)
+            depth = np.where(wse.data_mask, wse.values - dem.values, wse.nodata)
+            path = fixture / f"depth_T{t}.asc"
+            write_ascii_grid(Raster(wse.header, locked(depth)), path)
+        args += ["--layer", f"{t}:{'wse' if wse8 else 'depth'}:{path}"]
+    return args
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workload", ["wse8-interior", "noisy-depth-smooth"])
+def test_each_grid_is_scanned_once(tmp_path, monkeypatch, workload, workers):
+    # a NaN/Inf scan per grid, where it is read, and per DEM + depth sum, and
+    # one scan of the stack for values beyond ±1e150; no grid derived from
+    # scanned ones is scanned again. Each constructor's __post_init__ is
+    # that scan, counted across the forked readers through one file.
+    args = benchmark_shaped_args(tmp_path, workload) + ["--workers", str(workers)]
+    n_grids = args.count("--dem") + args.count("--layer")
+    n_depth = sum(":depth:" in arg for arg in args)
+    log = os.open(tmp_path / "scans", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    parent = os.getpid()
+    for cls in (Raster, flopit.hazard.HazardStack):
+        def counted(self, scan=cls.__post_init__, name=cls.__name__):
+            os.write(log, f"{name} {'parent' if os.getpid() == parent else 'child'}\n".encode())
+            scan(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    try:
+        assert main(args) == 0
+    finally:
+        os.close(log)
+    procs = flopit.probability.pool_size(workers, n_grids) if hasattr(os, "memfd_create") else 1
+    serial = n_grids if procs == 1 else 0
+    scans = collections.Counter((tmp_path / "scans").read_text().splitlines())
+    assert scans == collections.Counter({
+        "Raster parent": serial + n_depth,
+        "Raster child": n_grids - serial,
+        "HazardStack parent": 1,
+    })
+    assert n_grids + n_depth == 9
 
 
 def _memory_files() -> list[str]:

@@ -172,6 +172,20 @@ def test_return_period_is_reciprocal():
     )
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_return_period_past_the_largest_float_is_rejected():
+    # 1/T of the largest float is subnormal, and its reciprocal rounds to
+    # inf, so this is the one return period grid that is scanned
+    dem = make_raster([[0.0, 5.0, 20.0]])
+    layers = [
+        ReturnPeriodLayer(t, LayerKind.WSE, make_raster([[level] * 3]))
+        for t, level in ((2.0, 1.0), (sys.float_info.max, 10.0))
+    ]
+    stack = validate_stack(dem, layers)
+    with pytest.raises(FlopitError, match=r"^non-finite value inf at cell \(0, 2\); "):
+        interpolate_map(stack, None)
+
+
 def test_zones_on_ramp():
     dem, stack, pm = ramp_map()
     zones = derive_zones(stack).zones

@@ -22,6 +22,9 @@
 * IDW fill and smooth give the same bytes whether a cell whose nearest
   neighbourhood is full takes the fixed K-tap stencil or the gather, for
   any mask, radius, neighbour counts and row band;
+* every grid and stack that IDW and evaluation build without scanning
+  their cells, for values up to ±1e150, passes the public constructors'
+  scans unchanged;
 * the grid writer's bytes equal ``%``-formatting each cell, for every
   ``decimals`` and wherever the row blocks end, also in blocks whose cells
   all print at one length and in blocks that miss that by one cell;
@@ -61,7 +64,7 @@ from flopit import (  # noqa: E402
 )
 from flopit import idw, probability, raster  # noqa: E402
 from flopit.curves import MIN_KNOT_GAP  # noqa: E402
-from flopit.hazard import MAX_ABS_ELEVATION  # noqa: E402
+from flopit.hazard import MAX_ABS_ELEVATION, HazardStack  # noqa: E402
 from flopit.cli import main  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -418,6 +421,64 @@ def test_idw_stencil_equals_gather(data):
         for op, smooth in ((idw.idw_fill, False), (idw.idw_smooth, True)):
             expected = gather_reference(r, params, smooth)
             assert op(r, params).values.tobytes() == expected.tobytes()
+
+
+@st.composite
+def limit_stacks(draw):
+    """Stacks of mostly-data grids whose values reach ±1e150, mostly one
+    value at or near the limit, where a weighted mean can round beyond
+    it; each grid with a sentinel of -9999, -1e300 or -1.7e308."""
+    shape = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    periods = draw(
+        st.lists(st.integers(2, 1000), min_size=2, max_size=4, unique=True).map(sorted)
+    )
+    cells = st.one_of(st.floats(-MAX_ABS_ELEVATION, MAX_ABS_ELEVATION), _level)
+    fill = st.sampled_from([MAX_ABS_ELEVATION, -MAX_ABS_ELEVATION, 1e149, 0.1])
+
+    def grid():
+        nodata = draw(st.sampled_from([NODATA, -1e300, -1.7e308]))
+        values = draw(hnp.arrays(np.float64, shape, elements=cells, fill=fill))
+        holes = draw(hnp.arrays(np.bool_, shape, elements=st.just(True), fill=st.just(False)))
+        values[holes] = nodata
+        return make_raster(values, nodata)
+
+    layers = [ReturnPeriodLayer(float(t), LayerKind.WSE, grid()) for t in periods]
+    return validate_stack(grid(), layers)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(limit_stacks(), st.sampled_from(list(InterpolationMethod)), st.data())
+def test_grids_built_without_their_scan_pass_it(stack, method, data):
+    # IDW's grids, the filled stack and the four outputs skip the scan of
+    # every cell; the public constructors must accept each of them as is
+    params = idw.IdwParams(
+        power=data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.5])),
+        radius_cells=data.draw(st.integers(1, 3)),
+        max_neighbors=data.draw(st.integers(1, 48)),
+        mode=data.draw(st.sampled_from(list(idw.IdwMode))),
+    )
+    built = []
+
+    def recorded(derived):
+        def build(*args):
+            built.append(derived(*args))
+            return built[-1]
+        return build
+
+    with mock.patch.object(raster.Raster, "_derived", recorded(raster.Raster._derived)), \
+            mock.patch.object(HazardStack, "_derived", recorded(HazardStack._derived)):
+        filled = idw.fill_stack(stack, params)
+        interpolate_map(filled, None, method)
+    assert len(built) >= 4
+    for obj in built:
+        if isinstance(obj, HazardStack):
+            public = HazardStack(obj.dem, obj.layers)
+            pairs = [(public.dem, obj.dem)] + [
+                (a.grid, b.grid) for a, b in zip(public.layers, obj.layers)]
+        else:
+            pairs = [(raster.Raster(obj.header, obj.values), obj)]
+        for a, b in pairs:
+            assert a.values.tobytes() == b.values.tobytes()
 
 
 # -- ASCII grid writer -------------------------------------------------------
