@@ -33,12 +33,17 @@ class LayerKind(Enum):
 def _check_period(t: float) -> None:
     if not 1 < t < math.inf:
         raise StackError(f"return period must be finite and exceed 1 year, got {t}")
+    # the return period grid holds 1/p = 1/(1/T): within a few ulps of the
+    # largest float, 1/T is subnormal and its reciprocal rounds to inf
+    if not math.isfinite(1 / (1 / t)):
+        raise StackError(f"return period {t} is too large: 1/(1/T) is not finite")
 
 
 def check_periods(periods: list[float]) -> None:
     """Raise StackError unless ``periods``, in any order, can make a stack:
-    each finite and above 1 year, 2 to 32 of them, no two equal. Needs no
-    grid, so a command line can be checked before any is read."""
+    each finite, above 1 year and with a finite 1/(1/T), 2 to 32 of them,
+    no two equal. Needs no grid, so a command line can be checked before
+    any is read."""
     for t in periods:
         _check_period(t)
     if len(periods) < 2:

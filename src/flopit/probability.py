@@ -23,36 +23,22 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import MIN_KNOT_GAP, Clamped, InterpolationMethod, _evaluate_knot_batch
-from .errors import FlopitError
 from .hazard import HazardStack
 from .idw import IdwParams, fill_stack
 from .raster import DEFAULT_NODATA, GridHeader, Raster, locked, row_bands
+from .workers import pool_size
 
 logger = logging.getLogger(__name__)
 
 CLAMP_INTERIOR = Clamped.NO.value
 CLAMP_HIGH = Clamped.HIGH.value
 CLAMP_LOW = Clamped.LOW.value
-
-
-def pool_size(workers: int, n_tasks: int) -> int:
-    """Workers for ``n_tasks`` tasks at a requested ``workers`` (0 = one
-    per CPU): at most one per task and one per CPU this process may run on."""
-    if workers < 0:
-        raise FlopitError(f"workers must be >= 0, got {workers}")
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(workers or cpus, n_tasks, cpus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +102,9 @@ def interpolate_map(
     When ``params`` is given the layers are IDW-filled/smoothed first; pass
     None for a stack that has already been through :func:`fill_stack`.
     ``workers`` counts threads (0 = one per CPU), capped by
-    :func:`pool_size` at one per CPU and per band; it only sets how many of
-    the fixed-size row bands run at once, so any value produces
-    bit-identical output.
+    :func:`~flopit.workers.pool_size` at one per CPU and per band; it
+    only sets how many of the fixed-size row bands run at once, so any
+    value produces bit-identical output.
     """
     if params is not None:
         stack = fill_stack(stack, params)
@@ -190,12 +176,10 @@ def interpolate_map(
     # a data cell holds a flag, one of the stack's T, a p that evaluation
     # (which cannot overflow within the stack's ±1e150) clips between two of
     # the stack's, or 1/p for such a p: at most 1/p of the rarest layer,
-    # which only a subnormal p can round past the largest float, so only
-    # then is the return period scanned
-    rp_raster = Raster._derived if math.isfinite(1 / stack.probabilities[-1]) else Raster
+    # which the return-period rule (hazard._check_period) keeps finite
     return ProbabilityMap(
         probability=Raster._derived(out_hdr, locked(prob)),
-        return_period=rp_raster(out_hdr, locked(rp)),
+        return_period=Raster._derived(out_hdr, locked(rp)),
         clamp_flags=Raster._derived(out_hdr, locked(flags)),
         zones=Raster._derived(out_hdr, locked(zones)),
     )

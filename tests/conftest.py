@@ -16,15 +16,17 @@ def child_env(with_src: bool = True) -> dict[str, str]:
     checkout's ``src`` leads its PYTHONPATH; without, it has no
     PYTHONPATH, so the child imports the flopit its interpreter has.
     The child runs in dev mode and under the warning options if the
-    tests do, so a file it leaves open fails the same way."""
+    tests do, so a file it leaves open fails the same way. Like the
+    tests under pyproject's filter, it fails on a RuntimeWarning."""
     env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
     if with_src:
         src = str(Path(flopit.__file__).parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     if sys.flags.dev_mode:
         env["PYTHONDEVMODE"] = "1"
-    if sys.warnoptions:
-        env["PYTHONWARNINGS"] = ",".join(sys.warnoptions)
+    # pyproject's filterwarnings reaches this process's filters, not
+    # sys.warnoptions; a later option takes precedence
+    env["PYTHONWARNINGS"] = ",".join([*sys.warnoptions, "error::RuntimeWarning"])
     return env
 
 

@@ -91,6 +91,30 @@ def test_single_layer_rejected(fixture_dir, tmp_path, capsys):
     assert "at least two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_period_whose_reciprocal_overflows_is_rejected_before_any_read(
+        fixture_dir, tmp_path, capsys, monkeypatch, workers):
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(flopit.cli, "read_ascii_grid", no_read)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([
+            "interpolate",
+            "--dem", str(fixture_dir / "dem.asc"),
+            "--layer", f"10:wse:{fixture_dir / 'wse_T10.asc'}",
+            "--layer", f"1.7976931348623157e308:wse:{fixture_dir / 'wse_T500.asc'}",
+            "--out", str(tmp_path / "x"),
+            "--workers", workers,
+        ])
+    assert (code, caught) == (2, [])
+    assert capsys.readouterr().err == (
+        "flopit: error: return period 1.7976931348623157e+308 is too large: "
+        "1/(1/T) is not finite\n")
+    assert list(tmp_path.glob("x*")) == []
+
+
 def test_misaligned_layer_names_path(fixture_dir, tmp_path, capsys):
     bad = make_raster(np.full((3, 3), 5.0))
     bad_path = tmp_path / "bad_layer.asc"

@@ -105,8 +105,8 @@ def test_same_grids_at_any_worker_count(flopit, default_run, case):
 
 
 def test_interpolate_prints_counts_and_logs_only_info(default_run):
-    # stdout is for pipelines; pyproject's warning filter does not reach a
-    # child, so a numpy warning would show on its stderr
+    # stdout is for pipelines, and stderr holds only the log: a numpy
+    # warning fails the child (child_env)
     assert re.fullmatch("".join(rf"{name} \d+\n" for name in SUMMARY), default_run.stdout)
     lines = default_run.stderr.splitlines()
     # one logger name whichever entry point runs the CLI
@@ -190,7 +190,8 @@ def test_a_run_loads_only_what_it_runs(flopit, default_run, command):
     if command == "compare":
         assert {"flopit.raster", "flopit.zonestats"} <= loaded
         assert loaded.isdisjoint({"flopit.idw", "flopit.curves", "flopit.synth",
-                                  "flopit.hazard", "flopit.probability", "concurrent.futures"})
+                                  "flopit.hazard", "flopit.probability", "flopit.workers",
+                                  "concurrent.futures"})
     else:
         # such as numpy.ma, which numpy 2's np.unique imports on its first
         # call (compare's np.percentile still does)
@@ -203,6 +204,16 @@ def test_import_flopit_loads_no_submodule(flopit):
                           "print(*sorted(name for name in sys.modules if name.startswith('flopit.')))")
     assert run.returncode == 0, run.stderr
     assert set(run.stdout.split()) <= {"flopit.errors"}
+
+
+@module_only
+def test_import_flopit_workers_loads_no_numpy(flopit):
+    # so that any flopit module, idw and probability too, can import it
+    run = _python(flopit, "import sys, flopit.workers\n"
+                          "print(*sorted(name for name in sys.modules\n"
+                          "              if name.partition('.')[0] in ('flopit', 'numpy')))")
+    assert run.returncode == 0, run.stderr
+    assert set(run.stdout.split()) == {"flopit", "flopit.errors", "flopit.workers"}
 
 
 @module_only

@@ -1,6 +1,7 @@
 """Probability map evaluation, coercion rules and zone derivation."""
 
 import os
+import re
 import sys
 from unittest import mock
 
@@ -19,12 +20,14 @@ from flopit import (
     InterpolationMethod,
     LayerKind,
     ReturnPeriodLayer,
+    StackError,
     derive_zones,
     fill_stack,
     generate_fixture,
     interpolate_map,
     validate_stack,
 )
+from flopit.hazard import check_periods
 
 from conftest import make_raster
 
@@ -172,18 +175,18 @@ def test_return_period_is_reciprocal():
     )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 def test_return_period_past_the_largest_float_is_rejected():
-    # 1/T of the largest float is subnormal, and its reciprocal rounds to
-    # inf, so this is the one return period grid that is scanned
-    dem = make_raster([[0.0, 5.0, 20.0]])
-    layers = [
-        ReturnPeriodLayer(t, LayerKind.WSE, make_raster([[level] * 3]))
-        for t, level in ((2.0, 1.0), (sys.float_info.max, 10.0))
-    ]
-    stack = validate_stack(dem, layers)
-    with pytest.raises(FlopitError, match=r"^non-finite value inf at cell \(0, 2\); "):
-        interpolate_map(stack, None)
+    # 1/T of the largest float is subnormal, and its reciprocal, the return
+    # period grid's value, rounds to inf: the period is rejected as given
+    big = sys.float_info.max
+    rejected = "^" + re.escape(f"return period {big} is too large: ")
+    with pytest.raises(StackError, match=rejected):
+        ReturnPeriodLayer(big, LayerKind.WSE, make_raster([[10.0] * 3]))
+    with pytest.raises(StackError, match=rejected):
+        check_periods([2.0, big])
+    with pytest.raises(StackError, match=rejected):
+        FixtureSpec(shape=FixtureShape.RAMP, wse_levels=((2.0, 5.0), (big, 7.0)))
+    check_periods([2.0, 1.7976931348623151e308])  # the largest period whose 1/(1/T) is finite
 
 
 def test_zones_on_ramp():
